@@ -9,13 +9,7 @@ curl identities relating contact fields to divergence-free fields.
 """
 
 from .geometry import (
-    PointS3,
-    TangentVector,
-    Frame,
-    ContactData,
     QuadratureS3,
-    frame_at,
-    contact_data,
     verify_axioms,
     VOL_S3,
     FIBER_FACTOR,
@@ -24,7 +18,6 @@ from .harmonics import (
     GridFunction,
     SpectralFunction,
     SphereGrid,
-    Spectrum,
     analyze,
     eigenvalue,
     inner_M,
@@ -68,20 +61,13 @@ from .rot3d import (
 )
 
 __all__ = [
-    "PointS3",
-    "TangentVector",
-    "Frame",
-    "ContactData",
     "QuadratureS3",
-    "frame_at",
-    "contact_data",
     "verify_axioms",
     "VOL_S3",
     "FIBER_FACTOR",
     "GridFunction",
     "SpectralFunction",
     "SphereGrid",
-    "Spectrum",
     "analyze",
     "eigenvalue",
     "inner_M",

@@ -78,6 +78,17 @@ def basis_function(i, L=None):
                                  L=L if L is not None else l)
 
 
+def basis_expansion(b, tol=0.0):
+    """(i, c_i) with |c_i| > tol for b = sum_i c_i f_i; degree 0 is skipped."""
+    out = []
+    for l in range(1, b.L + 1):
+        for m in range(-l, l + 1):
+            c = b.coeffs[l, b.L + m] * np.sqrt(geometry.FIBER_FACTOR)
+            if abs(c) > tol:
+                out.append((basis_index(l, m), float(c)))
+    return out
+
+
 @dataclass
 class StructureConstants:
     """Sparse c^i_{jk} with [f_j, f_k] = sum_i c^i_{jk} f_i.
@@ -131,14 +142,7 @@ def structure_constants(L):
         if basis_lm(j)[0] == 0:
             continue  # bracket with the constant mode vanishes identically
         for k in range(j + 1, n):
-            br = lagrange_bracket(funcs[j], funcs[k])
-            row = []
-            Lb = br.L
-            for l in range(1, Lb + 1):
-                for m in range(-l, l + 1):
-                    c = br.coeffs[l, Lb + m] * np.sqrt(geometry.FIBER_FACTOR)
-                    if abs(c) > DROP_TOL:
-                        row.append((basis_index(l, m), float(c)))
+            row = basis_expansion(lagrange_bracket(funcs[j], funcs[k]), DROP_TOL)
             if row:
                 sc.entries[(j, k)] = row
     return sc

@@ -11,9 +11,11 @@ metric and cross-validated:
   * the eigenfunction closed form (for single-degree pairs).
 
 The structure-constant form carries an unresolved overall sign in its
-source; it is resolved here at runtime against the eigenfunction form and
-exposed via structural_sign().  The bi-invariant metric has the quarter
-square formula K = (1/4) int [f,h]^2 dmu >= 0.
+source.  Matching it against the eigenfunction form fixes STRUCTURAL_SIGN
+= +1.  structural_sign() re-runs that match on every call; a test holds the
+two equal, and the curvature table's sign column and `contactflow
+calibrate` report the measured value.  The bi-invariant metric has the
+quarter square formula K = (1/4) int [f,h]^2 dmu >= 0.
 """
 
 from __future__ import annotations
@@ -23,9 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .bracket import StructureConstants, basis_function, basis_lm, lagrange_bracket
-from .harmonics import SphereGrid, SpectralFunction, eigenvalue, inner_M, synthesize
-from .metrics import MetricKind, inner
+from .bracket import (
+    StructureConstants,
+    basis_expansion,
+    basis_function,
+    basis_lm,
+    lagrange_bracket,
+)
+from .harmonics import SphereGrid, SpectralFunction, eigenvalue, synthesize
+from .metrics import MetricKind, energy_inner, inner
 
 DEGENERACY_TOL = 1e-12
 
@@ -83,15 +91,9 @@ def projected_covariant(f, h):
     b = lagrange_bracket(f, h)
     fh = lagrange_bracket(f, h.helmholtz())
     hf = lagrange_bracket(h, f.helmholtz())
-    s = (0.5 * (b.helmholtz().padded(max(b.L, fh.L, hf.L))
-                + fh.padded(max(b.L, fh.L, hf.L))
-                + hf.padded(max(b.L, fh.L, hf.L)))).inverse_helmholtz()
+    s = (0.5 * (b.helmholtz() + fh + hf)).inverse_helmholtz()
     q = (fh + hf).inverse_helmholtz()
     return ProjectedCovariant(s=s, q=q)
-
-
-def _energy_inner(u, v):
-    return inner(MetricKind.RIGHT_INVARIANT, u, v)
 
 
 def k_right_invariant(sigma, method="direct"):
@@ -122,11 +124,11 @@ def k_right_invariant(sigma, method="direct"):
     s_ff = projected_covariant(f, f).s
     s_hh = projected_covariant(h, h).s
     q = projected_covariant(f, h).q
-    return (-0.75 * _energy_inner(b, b)
-            - 0.5 * _energy_inner(lagrange_bracket(f, b), h)
-            - 0.5 * _energy_inner(lagrange_bracket(h, -1.0 * b), f)
-            - _energy_inner(s_ff, s_hh)
-            + 0.25 * _energy_inner(q, q))
+    return (-0.75 * energy_inner(b, b)
+            - 0.5 * energy_inner(lagrange_bracket(f, b), h)
+            - 0.5 * energy_inner(lagrange_bracket(h, -1.0 * b), f)
+            - energy_inner(s_ff, s_hh)
+            + 0.25 * energy_inner(q, q))
 
 
 def _single_degree(f):
@@ -158,38 +160,28 @@ def k_eigen(f, h, alpha=None, beta=None):
 
 
 # ---------------------------------------------------------------------------
-# structure-constant form with runtime sign resolution
+# structure-constant form and its sign oracle
 
-_STRUCTURAL_SIGN = None
+STRUCTURAL_SIGN = 1
 
 
-def resolve_structural_sign(tol=1e-8):
-    """Decide the overall sign of the structure-constant curvature form.
+def structural_sign(tol=1e-8):
+    """Measured overall sign of the structure-constant curvature form.
 
-    The bracketed sum is compared against k_eigen on a degree-1 basis pair;
-    exactly one sign can match (the value is nonzero there).  Raises if
-    neither does.
+    An oracle, not a cache: every call compares the bracketed sum against
+    k_eigen on a degree-1 basis pair, where exactly one sign can match (the
+    value is nonzero there).  Raises if neither does.
     """
-    global _STRUCTURAL_SIGN
-    if _STRUCTURAL_SIGN is not None:
-        return _STRUCTURAL_SIGN
     f = basis_function(2)   # (l, m) = (1, 0)
     h = basis_function(3)   # (l, m) = (1, 1)
     reference = k_eigen(f, h)
     magnitude = _structural_sum(f, h)
-    if abs(magnitude - reference) < tol * max(1.0, abs(reference)):
-        _STRUCTURAL_SIGN = 1
-    elif abs(-magnitude - reference) < tol * max(1.0, abs(reference)):
-        _STRUCTURAL_SIGN = -1
-    else:
-        raise RuntimeError(
-            "structure-constant curvature matches k_eigen under neither sign: "
-            "sum %r vs reference %r" % (magnitude, reference))
-    return _STRUCTURAL_SIGN
-
-
-def structural_sign():
-    return resolve_structural_sign()
+    for sign in (1, -1):
+        if abs(sign * magnitude - reference) < tol * max(1.0, abs(reference)):
+            return sign
+    raise RuntimeError(
+        "structure-constant curvature matches k_eigen under neither sign: "
+        "sum %r vs reference %r" % (magnitude, reference))
 
 
 def _structural_terms(c_list, alpha, beta):
@@ -204,24 +196,17 @@ def _structural_terms(c_list, alpha, beta):
 
 def _structural_sum(f, h):
     """The bracketed sum evaluated directly from a bracket expansion
-    (used only to resolve the sign; production goes through tables)."""
-    b = lagrange_bracket(f, h)
+    (used only by the sign oracle; production goes through tables)."""
     alpha = eigenvalue(_single_degree(f))
     beta = eigenvalue(_single_degree(h))
-    c_list = []
-    for l in range(1, b.L + 1):
-        for m in range(-l, l + 1):
-            c = b.coeffs[l, b.L + m] * np.sqrt(geometry.FIBER_FACTOR)
-            if c != 0.0:
-                c_list.append((l * l + l + m, c))
-    return _structural_terms(c_list, alpha, beta)
+    return _structural_terms(basis_expansion(lagrange_bracket(f, h)), alpha, beta)
 
 
 def k_structural(constants, j, k):
     """Curvature of the plane of basis pair (j, k) from structure constants.
 
-    The basis is L^2(M)-orthonormal (the form's own normalization); the
-    resolved sign is applied.  Returns the signed curvature value.
+    The basis is L^2(M)-orthonormal (the form's own normalization);
+    STRUCTURAL_SIGN is applied.  Returns the signed curvature value.
     """
     if not isinstance(constants, StructureConstants):
         raise TypeError("k_structural expects a StructureConstants table")
@@ -229,4 +214,4 @@ def k_structural(constants, j, k):
     if lj == 0 or lk == 0:
         return 0.0
     alpha, beta = eigenvalue(lj), eigenvalue(lk)
-    return structural_sign() * _structural_terms(constants.row(j, k), alpha, beta)
+    return STRUCTURAL_SIGN * _structural_terms(constants.row(j, k), alpha, beta)

@@ -31,10 +31,8 @@ from .geometry import SQRT2
 from .harmonics import (
     GridFunction,
     SpectralFunction,
-    SphereGrid,
     adjoint_analyze,
     analyze,
-    eigenvalue,
     synthesize,
 )
 
@@ -102,11 +100,9 @@ class FrameField:
         adj_B_lm = adjoint_analyze(B.values, grid, L, "dlambda_over_sin")
         adj_C_th = adjoint_analyze(C.values, grid, L, "dtheta")
         adj_C_lm = adjoint_analyze(C.values, grid, L, "dlambda_over_sin")
-        alpha = np.array([eigenvalue(l) for l in range(L + 1)])
-        inv = np.zeros((L + 1, 1))
-        inv[1:, 0] = 1.0 / alpha[1:]
-        u = SpectralFunction((SQRT2 * adj_C_th - SQRT2 * adj_B_lm) * inv)
-        w = SpectralFunction((-SQRT2 * adj_B_th - SQRT2 * adj_C_lm) * inv)
+        # the derivative functionals vanish at degree 0, as inverse_laplacian needs
+        u = SpectralFunction(SQRT2 * (adj_C_th - adj_B_lm)).inverse_laplacian()
+        w = SpectralFunction(-SQRT2 * (adj_B_th + adj_C_lm)).inverse_laplacian()
         return cls(a, u, w)
 
     # -- structure ------------------------------------------------------------

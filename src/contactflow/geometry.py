@@ -29,13 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-E_METRIC_SCALE = 2.0          # g on the contact planes = 2 * round metric
 FIBER_FACTOR = np.pi          # int_M (F o pi) dmu = FIBER_FACTOR * int_{S2} F dOmega
 VOL_S3 = 4.0 * np.pi ** 2     # total mu-volume
 SQRT2 = np.sqrt(2.0)
-
-# unit-frame structure constants: [v_i, v_j] = STRUCT[i,j] * v_k (cyclic k)
-FRAME_STRUCT = (2.0, 1.0, 2.0)   # coefficients for [v1,v2], [v2,v3], [v3,v1]
 
 _IQ = np.array([0.0, 1.0, 0.0, 0.0])
 _JQ = np.array([0.0, 0.0, 1.0, 0.0])
@@ -199,82 +195,6 @@ def hodge_star_2form(W):
 
 
 # ---------------------------------------------------------------------------
-# pointwise public types
-
-def _check_unit(q):
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError("a point of S^3 is a 4-vector")
-    if abs(np.dot(q, q) - 1.0) > 1e-12:
-        raise ValueError("point does not lie on the unit sphere: |q|^2 = %r" % np.dot(q, q))
-    return q
-
-
-@dataclass(frozen=True)
-class PointS3:
-    """A point of the unit 3-sphere (unit quaternion)."""
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", _check_unit(self.q))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at a point: <v, q> = 0."""
-    point: PointS3
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.shape != (4,):
-            raise ValueError("a tangent vector is a 4-vector")
-        if abs(np.dot(v, self.point.q)) > 1e-12:
-            raise ValueError("vector is not tangent at the given point")
-        object.__setattr__(self, "v", v)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """The calibrated g-orthonormal frame at a point; e1 is the Reeb value."""
-    point: PointS3
-    e1: TangentVector
-    e2: TangentVector
-    e3: TangentVector
-
-
-@dataclass(frozen=True)
-class ContactData:
-    theta_X: float
-    theta_Y: float
-    dtheta_XY: float
-    g_XY: float
-    phi_X: TangentVector
-
-
-def frame_at(p: PointS3) -> Frame:
-    """Unit frame at p. e1(p) = p * i is the Reeb direction."""
-    if not isinstance(p, PointS3):
-        p = PointS3(np.asarray(p, dtype=float))
-    v1, v2, v3 = unit_frame(p.q)
-    return Frame(p, TangentVector(p, v1), TangentVector(p, v2), TangentVector(p, v3))
-
-
-def contact_data(X: TangentVector, Y: TangentVector) -> ContactData:
-    """theta, d theta, g and phi evaluated on a pair of tangent vectors."""
-    if not np.array_equal(X.point.q, Y.point.q):
-        raise ValueError("tangent vectors live at different base points")
-    q = X.point.q
-    return ContactData(
-        theta_X=float(theta_form(q, X.v)),
-        theta_Y=float(theta_form(q, Y.v)),
-        dtheta_XY=float(dtheta_form(q, X.v, Y.v)),
-        g_XY=float(metric(q, X.v, Y.v)),
-        phi_X=TangentVector(X.point, phi_map(q, X.v)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # finite differences along the exact quaternion circles
 
 def frame_derivative(f, axis, p, step=FD_STEP):
@@ -284,7 +204,7 @@ def frame_derivative(f, axis, p, step=FD_STEP):
     0, 1, 2 for v1 = xi, v2, v3.  Eighth-order central differences along the
     exact circle p * exp(t i_hat / speed), where v2, v3 have speed sqrt(2).
     """
-    q = p.q if isinstance(p, PointS3) else np.asarray(p, dtype=float)
+    q = np.asarray(p, dtype=float)
     func = f.pullback if hasattr(f, "pullback") else f
     speed = 1.0 if axis == 0 else SQRT2
     ts = _FD_OFFSETS * step
@@ -294,7 +214,7 @@ def frame_derivative(f, axis, p, step=FD_STEP):
 
 def frame_second_derivative(f, axis, p, step=FD_STEP):
     """Second derivative along v_axis (same stencil conventions as above)."""
-    q = p.q if isinstance(p, PointS3) else np.asarray(p, dtype=float)
+    q = np.asarray(p, dtype=float)
     func = f.pullback if hasattr(f, "pullback") else f
     speed = 1.0 if axis == 0 else SQRT2
     ts = _FD_OFFSETS * step
@@ -504,7 +424,7 @@ class QuadratureS3:
         psi = 2.0 * np.pi * np.arange(nfib) / nfib
         th_g, lm_g, ps_g = np.meshgrid(theta, lam, psi, indexing="ij")
         base = section_lift(th_g.ravel(), lm_g.ravel())
-        nodes = quat_circle_points(base, ps_g.ravel())
+        nodes = quat_circle(base, 0, ps_g.ravel())
         w_g = np.broadcast_to(w[:, None, None], th_g.shape).ravel()
         weights = 0.5 * w_g * (2.0 * np.pi / nlon) * (2.0 * np.pi / nfib)
         return cls(nodes, weights)
@@ -513,11 +433,3 @@ class QuadratureS3:
         vals = f.pullback(self.nodes) if hasattr(f, "pullback") else f(self.nodes)
         return float(np.dot(self.weights, vals))
 
-
-def quat_circle_points(base, psi):
-    """base * exp(psi i) for arrays of base points and fibre angles."""
-    psi = np.asarray(psi, dtype=float)
-    u = np.zeros(psi.shape + (4,))
-    u[..., 0] = np.cos(psi)
-    u[..., 1] = np.sin(psi)
-    return qmul(base, u)

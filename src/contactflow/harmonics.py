@@ -11,10 +11,20 @@ int_{-1}^{1} Pbar_lm^2 dx = 1; the basis is orthonormal in L^2(S^2).
 Coefficients are stored densely as coeffs[l, L + m], sin components at
 negative m.
 
-The M-Laplacian eigenvalue on degree-l pullbacks is alpha_l = scale*l(l+1)
-with the scale measured once against the frame-derivative oracle of the
-geometry module and snapped to the nearest integer (the eigenvalues of the
-calibrated metric are integers); it is stored, never hard-coded.
+The M-Laplacian eigenvalue on degree-l pullbacks is
+alpha_l = LAPLACE_SCALE * l(l+1) with LAPLACE_SCALE = 2, a constant of the
+calibrated metric.  laplace_scale() re-measures it on every call against
+the frame-derivative oracle of the geometry module; a test holds the two
+equal, and `contactflow calibrate` reports the measured value.
+
+Every transform runs through one kernel pair: _forward maps coefficients
+to the per-order amplitudes (a_m, b_m) of cos(m lam) and sin(m lam) at
+each colatitude node, and _adjoint is its transpose.  A derivative tag
+picks the Legendre table and a 2x2 map per order on (a_m, b_m): the
+identity for the function and d/dtheta, the rotation
+(a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables vanish at
+l < m, so the sum over l is one batched product over all orders, and the
+maps act on coefficient-sized arrays only.
 """
 
 from __future__ import annotations
@@ -116,9 +126,6 @@ class SphereGrid:
         """Integral over the unit sphere (dOmega)."""
         return float(self.w @ np.sum(values, axis=1)) * (2.0 * np.pi / self.nlon)
 
-    def quad_weights(self):
-        return self.w[:, None] * (2.0 * np.pi / self.nlon) * np.ones((1, self.nlon))
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -132,64 +139,30 @@ class GridFunction:
             raise ValueError("values shape does not match the grid")
         object.__setattr__(self, "values", v)
 
-    def integrate(self):
-        return self.grid.integrate(self.values)
-
-    def __mul__(self, other):
-        if isinstance(other, GridFunction):
-            if other.grid is not self.grid:
-                raise ValueError("grid mismatch in product")
-            return GridFunction(self.grid, self.values * other.values)
-        return GridFunction(self.grid, self.values * float(other))
-
-    __rmul__ = __mul__
-
 
 # ---------------------------------------------------------------------------
-# Laplace spectrum, measured once against the geometry oracle
+# Laplace spectrum
 
-_SCALE = None
+LAPLACE_SCALE = 2.0
 
 
 def laplace_scale():
-    """Eigenvalue scale: alpha_l = laplace_scale() * l * (l+1).
+    """Measured eigenvalue scale alpha_l / (l (l+1)); equals LAPLACE_SCALE.
 
-    Measured from the frame-derivative Laplacian on a degree-1 pullback and
-    snapped to the nearest integer.  Calibration yields 2 (alpha_1 = 4).
+    An oracle, not a cache: every call measures the frame-derivative
+    Laplacian on a degree-1 pullback and snaps it to the nearest integer.
     """
-    global _SCALE
-    if _SCALE is None:
-        measured = geometry.measure_laplace_eigenvalue_degree1() / 2.0
-        snapped = round(measured)
-        if abs(measured - snapped) > 1e-6:
-            raise RuntimeError(
-                "measured Laplace scale %r is not near an integer" % measured)
-        _SCALE = float(snapped)
-    return _SCALE
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """alpha_l table for 0 <= l <= L (strictly increasing, alpha_0 = 0)."""
-    alpha: np.ndarray
-
-    @classmethod
-    def up_to(cls, L):
-        l = np.arange(L + 1, dtype=float)
-        return cls(laplace_scale() * l * (l + 1.0))
-
-    def moment(self, l):
-        """Moment of inertia 1 + alpha_l of the operator 1 + Delta."""
-        return 1.0 + self.alpha[l]
+    measured = geometry.measure_laplace_eigenvalue_degree1() / 2.0
+    snapped = round(measured)
+    if abs(measured - snapped) > 1e-6:
+        raise RuntimeError(
+            "measured Laplace scale %r is not near an integer" % measured)
+    return float(snapped)
 
 
 def eigenvalue(l):
-    return laplace_scale() * l * (l + 1.0)
-
-
-def _alpha_per_degree(L):
-    l = np.arange(L + 1, dtype=float)
-    return laplace_scale() * l * (l + 1.0)
+    """alpha_l = LAPLACE_SCALE * l (l+1); l may be an array of degrees."""
+    return LAPLACE_SCALE * l * (l + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +171,12 @@ class SpectralFunction:
     """A Reeb-invariant function on S^3 in base spherical-harmonic form.
 
     coeffs[l, L + m]: cos components at m >= 0, sin components at m < 0.
-    All operations return new objects; nothing here mutates.
+    The constructor copies its input and every operation returns a new
+    object, so no two functions share coefficient storage.
     """
 
     def __init__(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 2 or coeffs.shape[1] != 2 * coeffs.shape[0] - 1:
             raise ValueError("coefficient array must have shape (L+1, 2L+1)")
         self.coeffs = coeffs
@@ -268,7 +242,7 @@ class SpectralFunction:
         if L < self.L:
             raise ValueError("cannot pad to a smaller band limit")
         if L == self.L:
-            return self
+            return SpectralFunction(self.coeffs)
         c = np.zeros((L + 1, 2 * L + 1))
         c[: self.L + 1, L - self.L: L + self.L + 1] = self.coeffs
         return SpectralFunction(c)
@@ -276,8 +250,7 @@ class SpectralFunction:
     def truncated(self, L):
         if L >= self.L:
             return self.padded(L)
-        c = self.coeffs[: L + 1, self.L - L: self.L + L + 1].copy()
-        return SpectralFunction(c)
+        return SpectralFunction(self.coeffs[: L + 1, self.L - L: self.L + L + 1])
 
     def trimmed(self, tol=0.0):
         """Drop trailing degrees whose coefficients are all <= tol."""
@@ -310,7 +283,7 @@ class SpectralFunction:
     # -- diagonal operators ---------------------------------------------------
 
     def _alpha_column(self):
-        return _alpha_per_degree(self.L)[:, None]
+        return eigenvalue(np.arange(self.L + 1))[:, None]
 
     def laplacian(self):
         return SpectralFunction(self.coeffs * self._alpha_column())
@@ -368,31 +341,11 @@ class SpectralFunction:
         shape = np.broadcast(theta, lam).shape
         th = np.broadcast_to(theta, shape).ravel()
         lm = np.broadcast_to(lam, shape).ravel()
-        P, dP, Q = legendre_tables(np.cos(th), self.L)
-        L = self.L
-        m_arr = np.arange(1, L + 1)
-        cosm = np.cos(m_arr[:, None] * lm[None, :])
-        sinm = np.sin(m_arr[:, None] * lm[None, :])
-        if deriv is None:
-            vals = self.coeffs[:, L] @ P[:, 0] / SQRT_2PI
-            for m in range(1, L + 1):
-                am = self.coeffs[m:, L + m] @ P[m:, m] / SQRT_PI
-                bm = self.coeffs[m:, L - m] @ P[m:, m] / SQRT_PI
-                vals += am * cosm[m - 1] + bm * sinm[m - 1]
-        elif deriv == "dtheta":
-            vals = self.coeffs[:, L] @ dP[:, 0] / SQRT_2PI
-            for m in range(1, L + 1):
-                am = self.coeffs[m:, L + m] @ dP[m:, m] / SQRT_PI
-                bm = self.coeffs[m:, L - m] @ dP[m:, m] / SQRT_PI
-                vals += am * cosm[m - 1] + bm * sinm[m - 1]
-        elif deriv == "dlambda_over_sin":
-            vals = np.zeros_like(th)
-            for m in range(1, L + 1):
-                am = m * (self.coeffs[m:, L - m] @ Q[m:, m]) / SQRT_PI
-                bm = -m * (self.coeffs[m:, L + m] @ Q[m:, m]) / SQRT_PI
-                vals += am * cosm[m - 1] + bm * sinm[m - 1]
-        else:
-            raise ValueError("unknown derivative tag %r" % deriv)
+        name, R = _symbol(deriv, self.L)
+        tables = dict(zip(("P", "dP", "Q"), legendre_tables(np.cos(th), self.L)))
+        ab = _forward(self.coeffs, tables[name], R)
+        m_lam = np.arange(self.L + 1)[:, None] * lm
+        vals = np.sum(ab[:, 0] * np.cos(m_lam) + ab[:, 1] * np.sin(m_lam), axis=0)
         return vals.reshape(shape)
 
     def pullback(self, q):
@@ -400,15 +353,57 @@ class SpectralFunction:
         theta, lam = geometry.hopf_angles(q)
         return self.evaluate_base(theta, lam)
 
-    def surface_gradient(self, q):
-        """(d_theta F, (1/sin) d_lambda F) at the Hopf images of S^3 points."""
-        theta, lam = geometry.hopf_angles(q)
-        return (self.evaluate_base(theta, lam, deriv="dtheta"),
-                self.evaluate_base(theta, lam, deriv="dlambda_over_sin"))
-
 
 # ---------------------------------------------------------------------------
 # transforms
+
+# derivative tag -> (Legendre table, c, d): the tag multiplies a_m - i b_m,
+# the weight of exp(i m lam), by c + i d m
+_DERIVS = {None: ("P", 1.0, 0.0), "dtheta": ("dP", 1.0, 0.0),
+           "dlambda_over_sin": ("Q", 0.0, 1.0)}
+
+
+def _symbol(deriv, L):
+    """Table name and per-order 2x2 map of a tag on (a_m, b_m), normalized."""
+    try:
+        name, c, d = _DERIVS[deriv]
+    except KeyError:
+        raise ValueError("unknown derivative tag %r" % (deriv,)) from None
+    dm = d * np.arange(L + 1)
+    R = np.empty((L + 1, 2, 2))
+    R[:, 0, 0] = R[:, 1, 1] = c
+    R[:, 0, 1], R[:, 1, 0] = dm, -dm
+    R[0] /= SQRT_2PI
+    R[1:] /= SQRT_PI
+    return name, R
+
+
+def _forward(coeffs, table, R):
+    """ab[m, :, j] = R[m] @ sum_l (c_lm^cos, c_lm^sin) table[l, m, j]."""
+    L = coeffs.shape[0] - 1
+    cs = np.zeros((L + 1, 2, L + 1))                  # [m, cos/sin, l]
+    cs[:, 0] = coeffs[:, L:].T
+    cs[1:, 1] = coeffs[:, :L][:, ::-1].T
+    return np.matmul(np.matmul(R, cs), table.transpose(1, 0, 2))   # [m, a/b, j]
+
+
+def _adjoint(ab, table, R):
+    """Transpose of _forward: coefficients from per-order data ab[m, j, a/b]."""
+    L = table.shape[0] - 1
+    cs = np.matmul(np.matmul(table.transpose(1, 0, 2), ab), R)    # [m, l, cos/sin]
+    coeffs = np.empty((L + 1, 2 * L + 1))
+    coeffs[:, L:] = cs[:, :, 0].T
+    coeffs[:, :L] = cs[1:, :, 1][::-1].T
+    return coeffs
+
+
+def _analysis(values, grid, L, deriv):
+    """Quadrature pairing of grid values with deriv(Y_lm), l <= L."""
+    name, R = _symbol(deriv, L)
+    weights = grid.w * (2.0 * np.pi / grid.nlon)
+    C = np.fft.rfft(values, axis=1)[:, :L + 1].T * weights
+    return _adjoint(np.stack([C.real, -C.imag], axis=-1), grid.tables(L)[name], R)
+
 
 def synthesize(f, grid, deriv=None):
     """Values of f (or a tangential derivative) on a SphereGrid.
@@ -418,27 +413,13 @@ def synthesize(f, grid, deriv=None):
     ingredients of every frame derivative on the base.
     """
     L = f.L
-    nlat, nlon = grid.nlat, grid.nlon
-    if nlon < 2 * L + 2:
+    if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude for degree %d" % L)
-    tabs = grid.tables(L)
-    C = np.zeros((nlat, nlon // 2 + 1), dtype=complex)
-    if deriv is None or deriv == "dtheta":
-        T = tabs["P"] if deriv is None else tabs["dP"]
-        C[:, 0] = (f.coeffs[:, L] @ T[:, 0]) * (nlon / SQRT_2PI)
-        for m in range(1, L + 1):
-            am = f.coeffs[m:, L + m] @ T[m:, m] / SQRT_PI
-            bm = f.coeffs[m:, L - m] @ T[m:, m] / SQRT_PI
-            C[:, m] = (am - 1j * bm) * (nlon / 2.0)
-    elif deriv == "dlambda_over_sin":
-        Q = tabs["Q"]
-        for m in range(1, L + 1):
-            am = m * (f.coeffs[m:, L - m] @ Q[m:, m]) / SQRT_PI
-            bm = -m * (f.coeffs[m:, L + m] @ Q[m:, m]) / SQRT_PI
-            C[:, m] = (am - 1j * bm) * (nlon / 2.0)
-    else:
-        raise ValueError("unknown derivative tag %r" % deriv)
-    return np.fft.irfft(C, n=nlon, axis=1)
+    name, R = _symbol(deriv, L)
+    ab = _forward(f.coeffs, grid.tables(L)[name], R)
+    C = ab[:, 0] - 1j * ab[:, 1]
+    C[1:] *= 0.5
+    return np.fft.irfft(C.T, n=grid.nlon, axis=1, norm="forward")
 
 
 def analyze(g, L=None):
@@ -447,51 +428,25 @@ def analyze(g, L=None):
     Exact (to round-off) whenever the underlying function is band-limited
     within the grid's analysis degree.
     """
-    grid, values = g.grid, g.values
+    grid = g.grid
     if L is None:
         L = grid.nlat - 1
     if grid.nlat < L + 1:
         raise ValueError("grid too coarse in latitude to analyze degree %d" % L)
     if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
-    C = np.fft.rfft(values, axis=1) * (2.0 * np.pi / grid.nlon)
-    P = grid.tables(L)["P"]
-    coeffs = np.zeros((L + 1, 2 * L + 1))
-    coeffs[:, L] = P[:, 0] @ (grid.w * C[:, 0].real) / SQRT_2PI
-    for m in range(1, L + 1):
-        coeffs[m:, L + m] = P[m:, m] @ (grid.w * C[:, m].real) / SQRT_PI
-        coeffs[m:, L - m] = P[m:, m] @ (grid.w * -C[:, m].imag) / SQRT_PI
-    return SpectralFunction(coeffs)
+    return SpectralFunction(_analysis(g.values, grid, L, None))
 
 
 def adjoint_analyze(values, grid, L, deriv):
     """Coefficient functionals c[l,m] = <values, deriv(Y_lm)>_{S^2}.
 
-    deriv is "dtheta" or "dlambda_over_sin"; this is the quadrature adjoint
-    of the corresponding synthesis, the workhorse of integration by parts
-    on the base (no pole terms: the test functions carry the sin factors).
+    deriv is "dtheta" or "dlambda_over_sin" (None gives analyze's
+    coefficients); this is the quadrature adjoint of the corresponding
+    synthesis, the workhorse of integration by parts on the base (no pole
+    terms: the test functions carry the sin factors).
     """
-    C = np.fft.rfft(values, axis=1) * (2.0 * np.pi / grid.nlon)
-    tabs = grid.tables(L)
-    coeffs = np.zeros((L + 1, 2 * L + 1))
-    if deriv == "dtheta":
-        dP = tabs["dP"]
-        coeffs[:, L] = dP[:, 0] @ (grid.w * C[:, 0].real) / SQRT_2PI
-        for m in range(1, L + 1):
-            coeffs[m:, L + m] = dP[m:, m] @ (grid.w * C[:, m].real) / SQRT_PI
-            coeffs[m:, L - m] = dP[m:, m] @ (grid.w * -C[:, m].imag) / SQRT_PI
-    elif deriv == "dlambda_over_sin":
-        Q = tabs["Q"]
-        # (1/s) d_lambda Y_lm^cos = -m Q_lm sin(m lam)/sqrt(pi), and
-        # (1/s) d_lambda Y_lm^sin = +m Q_lm cos(m lam)/sqrt(pi)
-        for m in range(1, L + 1):
-            gs = grid.w * -C[:, m].imag
-            gc = grid.w * C[:, m].real
-            coeffs[m:, L + m] = -m * (Q[m:, m] @ gs) / SQRT_PI
-            coeffs[m:, L - m] = m * (Q[m:, m] @ gc) / SQRT_PI
-    else:
-        raise ValueError("unknown derivative tag %r" % deriv)
-    return coeffs
+    return _analysis(values, grid, L, deriv)
 
 
 def product(f, h):
@@ -502,12 +457,8 @@ def product(f, h):
     return analyze(GridFunction(grid, vals), D)
 
 
-def inner_base(f, h):
-    """<F, H> over the base sphere (Parseval)."""
-    L = max(f.L, h.L)
-    return float(np.sum(f.padded(L).coeffs * h.padded(L).coeffs))
-
-
 def inner_M(f, h):
-    """int_M f h dmu = fibre factor times the base pairing."""
-    return geometry.FIBER_FACTOR * inner_base(f, h)
+    """int_M f h dmu = fibre factor times the base Parseval pairing."""
+    L = max(f.L, h.L)
+    pairing = np.sum(f.padded(L).coeffs * h.padded(L).coeffs)
+    return geometry.FIBER_FACTOR * float(pairing)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .fields import contact_field_at
-from .harmonics import SpectralFunction, inner_M
+from .harmonics import inner_M
 
 
 class MetricKind(enum.Enum):
@@ -64,16 +64,6 @@ def biinvariant_inner(f, h):
 def kinetic_energy(f):
     """T = (1/2)(X_f, X_f)_e = (1/2) int_M f (1+Delta) f dmu; f is the velocity."""
     return 0.5 * energy_inner(f, f)
-
-
-def kinetic_energy_momentum(h):
-    """T expressed through the momentum h = (1+Delta) f."""
-    return 0.5 * inner_M(h, h.inverse_helmholtz())
-
-
-def kinetic_moment(h):
-    """m(h) = <X_h, X_h> = int_M h^2 dmu of the momentum."""
-    return biinvariant_inner(h, h)
 
 
 def metric_relation_residual(f, h):

@@ -24,14 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, contact_field, contact_field_at
+from .fields import FrameField, _as_spectral, contact_field, contact_field_at
 from .geometry import SQRT2
 from .harmonics import (
     SpectralFunction,
     SphereGrid,
     adjoint_analyze,
     analyze,
-    synthesize,
 )
 
 
@@ -55,7 +54,7 @@ def curl(X, L_out=None):
 
 def contact_curl(f):
     """Closed form rot X_f = (f - Delta f) xi + phi grad f."""
-    f = f if isinstance(f, SpectralFunction) else SpectralFunction.constant(float(f))
+    f = _as_spectral(f)
     return FrameField(f - f.laplacian(), 0.0, f.mean_free())
 
 
@@ -65,7 +64,7 @@ def curl_inverse_contact(f):
     Returns -f xi + 2 phi grad(Delta^-1 f).  The mean-zero restriction is
     structural: constants are handled by the fixed point rot xi = xi.
     """
-    f = f if isinstance(f, SpectralFunction) else SpectralFunction.constant(float(f))
+    f = _as_spectral(f)
     if not f.mean_zero():
         raise ValueError("curl_inverse_contact needs a mean-zero Hamiltonian")
     return FrameField(-1.0 * f, 0.0, 2.0 * f.inverse_laplacian())
@@ -114,8 +113,7 @@ def dmu_inner(f, h):
     The Hamiltonian f splits as constant + mean-zero; the constant rides on
     the fixed point rot xi = xi, the rest through the closed-form inverse.
     """
-    f = f if isinstance(f, SpectralFunction) else SpectralFunction.constant(float(f))
-    h = h if isinstance(h, SpectralFunction) else SpectralFunction.constant(float(h))
+    f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
     f0 = f.mean_free()
     if f0.norm_M() <= 1e-15 * max(1.0, abs(c)):

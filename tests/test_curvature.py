@@ -3,16 +3,20 @@ import pytest
 
 from contactflow.bracket import basis_function, basis_size, structure_constants
 from contactflow.curvature import (
+    STRUCTURAL_SIGN,
     SectionPlane,
     k_biinvariant,
     k_eigen,
     k_right_invariant,
     k_structural,
     projected_covariant,
-    resolve_structural_sign,
     structural_sign,
 )
-from contactflow.harmonics import SpectralFunction, eigenvalue
+from contactflow.harmonics import (
+    LAPLACE_SCALE,
+    SpectralFunction,
+    laplace_scale,
+)
 from contactflow.metrics import MetricKind, inner
 
 
@@ -107,8 +111,12 @@ def test_k_eigen_rejects_mixed_degree():
 
 
 def test_structural_sign_resolved_positive():
-    assert resolve_structural_sign() == 1
     assert structural_sign() == 1
+
+
+def test_calibration_constants_match_oracles():
+    assert laplace_scale() == LAPLACE_SCALE
+    assert structural_sign() == STRUCTURAL_SIGN
 
 
 def test_structural_matches_eigen_on_basis_pairs():

@@ -1,13 +1,9 @@
 import numpy as np
-import pytest
 
-from contactflow import geometry
 from contactflow.geometry import (
     QuadratureS3,
     VOL_S3,
-    contact_data,
     dtheta_form,
-    frame_at,
     frame_components,
     frame_derivative,
     hodge_star_1form,
@@ -137,18 +133,3 @@ def test_unit_frame_bracket_relations():
     assert np.max(np.abs(b23 - v1)) < 1e-9
     assert np.max(np.abs(b31 - 2.0 * v2)) < 1e-9
 
-
-def test_contact_data_bundle():
-    rng = np.random.default_rng(9)
-    q = unit_points(rng, 1)[0]
-    fr = frame_at(q)
-    data = contact_data(fr.e2, fr.e3)
-    assert abs(data.theta_X) < 1e-12
-    assert abs(data.g_XY) < 1e-12
-    assert abs(data.dtheta_XY + 1.0) < 1e-12
-    assert np.max(np.abs(data.phi_X.v - fr.e3.v)) < 1e-12
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        geometry.PointS3(np.array([2.0, 0.0, 0.0, 0.0]))

@@ -5,7 +5,6 @@ from contactflow import geometry
 from contactflow.harmonics import (
     SpectralFunction,
     SphereGrid,
-    Spectrum,
     adjoint_analyze,
     analyze,
     eigenvalue,
@@ -78,8 +77,7 @@ def test_laplace_scale_snapped():
     assert laplace_scale() == 2.0
     assert eigenvalue(1) == 4.0
     assert eigenvalue(3) == 24.0
-    assert Spectrum.up_to(2).alpha.tolist() == [0.0, 4.0, 12.0]
-    assert Spectrum.up_to(2).moment(1) == 5.0
+    assert eigenvalue(np.arange(3)).tolist() == [0.0, 4.0, 12.0]
 
 
 def test_product_exact_at_degree_sum():
@@ -120,6 +118,19 @@ def test_triples_round_trip_and_slices():
     assert f.padded(5).trimmed().L == 3
     with pytest.raises(ValueError):
         SpectralFunction.from_triples([(1, 2, 1.0)])
+
+
+def test_spectral_function_owns_its_coefficients():
+    c = np.zeros((3, 5))
+    f = SpectralFunction(c)
+    c[1, 2] = 1.0                      # the caller's array, changed later
+    assert f.norm_base() == 0.0
+    g = f.padded(f.L)
+    g.coeffs[2, 4] = 1.0
+    assert f.norm_base() == 0.0
+    z = SpectralFunction.zeros(2)      # fresh arrays stay writable
+    z.coeffs[1, 2] = 3.0
+    assert z.norm_base() == 3.0
 
 
 def test_inverse_laplacian_domain():
