@@ -1,16 +1,21 @@
 """Command-line surface: reproducible runs of every verification suite.
 
 Subcommands: axioms, brackets, curvature, evolve, rot, calibrate.  A flat
-key=value config file may supply any flag; explicit flags win.  Output is
-deterministic for a fixed config: floats are serialized with repr, JSON
-keys are sorted, no timestamps.  Exit status: 0 all checks pass, 1 a check
-failed (the failing residual is named on stderr), 2 usage or config error.
+key=value config file may supply any flag; its values are checked exactly
+like the matching flags, and explicit flags win.  `evolve` needs t_end to
+be a multiple of dt.  Output is deterministic for a fixed config: floats
+are serialized with repr, JSON keys are sorted, no timestamps.
+
+Exit status: 0 success; 1 a check failed (the failing residual is named on
+stderr) or the flow blew up; 2 a usage or config error, reported on stderr
+before anything is computed or written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -31,33 +36,43 @@ from .metrics import MetricKind
 from .rot3d import rot_report
 
 COMMANDS = ("axioms", "brackets", "curvature", "evolve", "rot", "calibrate")
+_JSON_BY_DEFAULT = ("axioms", "rot", "calibrate")  # the others default to CSV
 
-_DEFAULTS = {
-    "L": 6,
-    "seed": 0,
-    "dt": 1e-3,
-    "t_end": 1.0,
-    "k_max": 3,
-    "degree_cutoff": 2,
-    "out": None,
-    "format": None,
-    "n_points": 1000,
-    "tol": 1e-10,
-    "init": None,
-    "snapshot_every": 0,
-}
 
-_DEFAULT_FORMAT = {
-    "axioms": "json",
-    "brackets": "csv",
-    "curvature": "csv",
-    "evolve": "csv",
-    "rot": "json",
-    "calibrate": "json",
-}
+def _checked(name, convert, ok):
+    """argparse type: convert(text), rejected unless ok(value).  argparse
+    reports a rejection as "invalid <name> value" and exits 2."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    parse.__name__ = name
+    return parse
 
-_INT_KEYS = {"L", "seed", "k_max", "degree_cutoff", "n_points", "snapshot_every"}
-_FLOAT_KEYS = {"dt", "t_end", "tol"}
+
+def _at_least(lo):
+    return _checked("integer >= %d" % lo, int, lambda v: v >= lo)
+
+
+_positive = _checked("positive finite float", float,
+                     lambda v: 0.0 < v < float("inf"))
+_format = _checked("format (csv or json)", str, lambda v: v in ("csv", "json"))
+
+
+def _momentum(text):
+    """argparse type: 'l,m,value;l,m,value;...' as a SpectralFunction; empty
+    text is no --init (evolve then draws a random momentum from --seed)."""
+    if not text:
+        return None
+    try:
+        return SpectralFunction.from_triples(
+            (int(l), int(m), float(v))
+            for l, m, v in (part.split(",") for part in text.split(";")
+                            if part.strip()))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(
+            "bad triples %r (want 'l,m,value;...'): %s" % (text, e))
 
 
 def build_parser():
@@ -67,32 +82,35 @@ def build_parser():
                     "verification suites and flows.")
     p.add_argument("command", nargs="?", choices=COMMANDS,
                    help="one of %s" % (", ".join(COMMANDS)))
-    p.add_argument("--L", type=int, default=None, help="band limit (>= 1)")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed")
-    p.add_argument("--dt", type=float, default=None, help="time step (evolve)")
-    p.add_argument("--t-end", type=float, default=None, help="final time (evolve)")
-    p.add_argument("--k-max", type=int, default=None,
+    p.add_argument("--L", type=_at_least(1), default=6, help="band limit (>= 1)")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (>= 0)")
+    p.add_argument("--dt", type=_positive, default=1e-3, help="time step (evolve)")
+    p.add_argument("--t-end", type=_positive, default=1.0,
+                   help="final time, a multiple of dt (evolve)")
+    p.add_argument("--k-max", type=_at_least(1), default=3,
                    help="highest Casimir power I_k tracked (evolve)")
-    p.add_argument("--degree-cutoff", type=int, default=None,
+    p.add_argument("--degree-cutoff", type=_at_least(1), default=2,
                    help="basis degree cutoff for the curvature table")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", type=_format, default=None, help="csv or json")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--n-points", type=int, default=None,
+    p.add_argument("--n-points", type=_at_least(1), default=1000,
                    help="sample points for the axiom suite")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive, default=1e-10,
                    help="tolerance for the axiom suite")
-    p.add_argument("--init", default=None,
+    p.add_argument("--init", type=_momentum, default=None,
                    help="initial momentum, 'l,m,value;l,m,value;...' (evolve)")
-    p.add_argument("--snapshot-every", type=int, default=None,
+    p.add_argument("--snapshot-every", type=_at_least(0), default=0,
                    help="full-state JSON snapshot stride (evolve)")
     return p
 
 
-def load_config_file(path, parser):
+def load_config_file(path, parser, keys):
+    """The file's key = value pairs as raw strings; keys must be in `keys`."""
     cfg = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         parser.error("cannot read config file: %s" % e)
     for raw in lines:
@@ -103,61 +121,51 @@ def load_config_file(path, parser):
             parser.error("malformed config line: %r" % line)
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key != "command" and key not in _DEFAULTS:
+        if key == "config" or key not in keys:
             parser.error("unknown config key: %r" % key)
         cfg[key] = value
     return cfg
 
 
-def resolve(args, parser):
-    """Merge flags over config over defaults; validate."""
-    file_cfg = load_config_file(args.config, parser) if args.config else {}
-    cfg = {}
-    command = args.command or file_cfg.get("command")
-    if command not in COMMANDS:
-        parser.error("missing or unrecognized command: %r" % (command,))
-    cfg["command"] = command
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            cfg[key] = flag
-            continue
-        if key in file_cfg:
-            raw = file_cfg[key]
-            try:
-                if key in _INT_KEYS:
-                    cfg[key] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    cfg[key] = float(raw)
-                else:
-                    cfg[key] = raw
-            except ValueError:
-                parser.error("bad value for config key %r: %r" % (key, raw))
-        else:
-            cfg[key] = default
-    if cfg["format"] is None:
-        cfg["format"] = _DEFAULT_FORMAT[command]
-    if cfg["format"] not in ("csv", "json"):
-        parser.error("unknown format: %r" % cfg["format"])
-    if cfg["L"] < 1:
-        parser.error("band limit L must be >= 1")
-    if command == "evolve" and (cfg["dt"] <= 0 or cfg["t_end"] <= 0):
-        parser.error("evolve needs dt > 0 and t_end > 0")
-    return cfg
+def parse_args(argv=None):
+    """Parse and check a command line and its --config file; run nothing.
+
+    Config values become parser defaults, so they pass through the same
+    types as flags and explicit flags win.  Every usage or config error
+    exits 2 here, before anything is computed or written.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        parser.set_defaults(**load_config_file(args.config, parser, vars(args)))
+        args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("missing command (one of %s)" % ", ".join(COMMANDS))
+    if args.format is None:
+        args.format = "json" if args.command in _JSON_BY_DEFAULT else "csv"
+    if args.out and (os.path.isdir(args.out) or not os.access(
+            os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+        parser.error("cannot write --out %r" % args.out)
+    if args.command == "evolve":
+        if args.snapshot_every and args.format == "csv" and not args.out:
+            parser.error("--snapshot-every with csv output needs --out")
+        try:
+            args.integrator = IntegratorConfig(
+                dt=args.dt, t_end=args.t_end,
+                invariant_sample_stride=args.snapshot_every or 1,
+                k_max=args.k_max)
+        except ValueError as e:
+            parser.error(str(e))
+    return args
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers (deterministic: repr floats, sorted JSON keys)
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def render_csv(header, rows):
     lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    lines += [",".join(repr(x) if isinstance(x, float) else str(x) for x in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -195,33 +203,31 @@ def fail_checks(checks):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_axioms(cfg):
-    report = geometry.verify_axioms(n_points=cfg["n_points"], seed=cfg["seed"],
-                                    tol=cfg["tol"])
+def cmd_axioms(args):
+    report = geometry.verify_axioms(n_points=args.n_points, seed=args.seed,
+                                    tol=args.tol)
     checks = [{"name": c.property_id, "description": c.description,
                "max_residual": float(c.max_residual),
                "tolerance": float(c.tolerance), "passed": bool(c.passed)}
               for c in report]
-    emit(checks_output(checks, cfg["format"]), cfg["out"])
+    emit(checks_output(checks, args.format), args.out)
     return fail_checks(checks)
 
 
-def cmd_brackets(cfg):
-    table = structure_constants(cfg["L"])
+def cmd_brackets(args):
+    table = structure_constants(args.L)
     rows = [(i, j, k, v) for i, j, k, v in table.iter_rows()]
-    if cfg["format"] == "csv":
-        emit(render_csv(("i", "j", "k", "value"), rows), cfg["out"])
+    if args.format == "csv":
+        emit(render_csv(("i", "j", "k", "value"), rows), args.out)
     else:
-        emit(render_json({"L": cfg["L"],
+        emit(render_json({"L": args.L,
                           "entries": [{"i": i, "j": j, "k": k, "value": v}
-                                      for i, j, k, v in rows]}), cfg["out"])
+                                      for i, j, k, v in rows]}), args.out)
     return 0
 
 
-def cmd_curvature(cfg):
-    cutoff = cfg["degree_cutoff"]
-    if cutoff < 1:
-        raise SystemExit("degree cutoff must be >= 1")
+def cmd_curvature(args):
+    cutoff = args.degree_cutoff
     table = structure_constants(cutoff)
     sign = structural_sign()
     n = basis_size(cutoff)
@@ -240,77 +246,61 @@ def cmd_curvature(cfg):
                          sign))
     header = ("j", "k", "K_biinv", "K_right", "K_right_assembled",
               "K_eigen", "K_structural", "sign_flag")
-    if cfg["format"] == "csv":
-        emit(render_csv(header, rows), cfg["out"])
+    if args.format == "csv":
+        emit(render_csv(header, rows), args.out)
     else:
         emit(render_json({"rows": [dict(zip(header, r)) for r in rows]}),
-             cfg["out"])
+             args.out)
     return 0
 
 
-def _initial_momentum(cfg):
-    if cfg["init"]:
-        triples = []
-        for part in cfg["init"].split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            bits = part.split(",")
-            if len(bits) != 3:
-                raise SystemExit("bad --init entry: %r" % part)
-            triples.append((int(bits[0]), int(bits[1]), float(bits[2])))
-        h0 = SpectralFunction.from_triples(triples)
-        return h0.padded(max(cfg["L"], h0.L))
-    rng = np.random.default_rng(cfg["seed"])
-    base = SpectralFunction.random(min(2, cfg["L"]), rng, lmin=1)
-    return base.helmholtz().padded(cfg["L"])
+def _initial_momentum(args):
+    if args.init is not None:
+        return args.init.padded(max(args.L, args.init.L))
+    rng = np.random.default_rng(args.seed)
+    base = SpectralFunction.random(min(2, args.L), rng, lmin=1)
+    return base.helmholtz().padded(args.L)
 
 
-def cmd_evolve(cfg):
-    h0 = _initial_momentum(cfg)
-    icfg = IntegratorConfig(dt=cfg["dt"], t_end=cfg["t_end"],
-                            invariant_sample_stride=max(1, cfg["snapshot_every"])
-                            if cfg["snapshot_every"] else 1,
-                            k_max=cfg["k_max"])
+def cmd_evolve(args):
     try:
-        result = evolve(FlowState(h0, 0.0), icfg)
+        result = evolve(FlowState(_initial_momentum(args), 0.0),
+                        args.integrator)
     except BlowUpError as e:
         sys.stderr.write("flow blow-up at t=%s\n" % repr(e.t))
         return 1
-    header = (["t", "T"] + ["I_%d" % k for k in range(1, cfg["k_max"] + 1)]
+    header = (["t", "T"] + ["I_%d" % k for k in range(1, args.k_max + 1)]
               + ["coeff_norm"])
     rows = []
     for idx, t in enumerate(result.times):
         rows.append([float(t), float(result.energy[idx])]
                     + [float(result.casimirs[idx, k - 1])
-                       for k in range(1, cfg["k_max"] + 1)]
+                       for k in range(1, args.k_max + 1)]
                     + [float(result.coeff_norms[idx])])
     snapshots = None
-    if cfg["snapshot_every"]:
+    if args.snapshot_every:
         snapshots = [{"t": st.t, "coefficients": st.h.to_triples()}
                      for st in result.states]
-    if cfg["format"] == "csv":
-        emit(render_csv(header, rows), cfg["out"])
+    if args.format == "csv":
+        emit(render_csv(header, rows), args.out)
         if snapshots is not None:
-            if not cfg["out"]:
-                raise SystemExit("--snapshot-every with csv output needs --out")
-            with open(cfg["out"] + ".snapshots.json", "w") as fh:
+            with open(args.out + ".snapshots.json", "w") as fh:
                 fh.write(render_json({"snapshots": snapshots}))
     else:
         doc = {"columns": header, "rows": rows}
         if snapshots is not None:
             doc["snapshots"] = snapshots
-        emit(render_json(doc), cfg["out"])
+        emit(render_json(doc), args.out)
     return 0
 
 
-def cmd_rot(cfg):
-    checks = rot_report(L=cfg["L"], seed=cfg["seed"])
-    emit(checks_output(checks, cfg["format"]), cfg["out"])
+def cmd_rot(args):
+    checks = rot_report(L=args.L, seed=args.seed)
+    emit(checks_output(checks, args.format), args.out)
     return fail_checks(checks)
 
 
-def cmd_calibrate(cfg):
+def cmd_calibrate(args):
     grid_scale = laplace_scale()
     q0 = np.array([1.0, 0.0, 0.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0, 0.0])
@@ -332,11 +322,11 @@ def cmd_calibrate(cfg):
         "fiber_factor": geometry.FIBER_FACTOR,
         "structural_sign": float(structural_sign()),
     }
-    if cfg["format"] == "csv":
+    if args.format == "csv":
         emit(render_csv(("constant", "value"),
-                        sorted(constants.items())), cfg["out"])
+                        sorted(constants.items())), args.out)
     else:
-        emit(render_json(constants), cfg["out"])
+        emit(render_json(constants), args.out)
     return 0
 
 
@@ -351,10 +341,8 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = resolve(args, parser)
-    return _DISPATCH[cfg["command"]](cfg)
+    args = parse_args(argv)
+    return _DISPATCH[args.command](args)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,11 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.dt > self.t_end:
             raise ValueError("dt must not exceed t_end")
+        if not np.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
+        n_steps = self.t_end / self.dt
+        if abs(n_steps - round(n_steps)) > 1e-9 * n_steps:
+            raise ValueError("t_end must be a multiple of dt")
         if self.invariant_sample_stride < 1:
             raise ValueError("invariant_sample_stride must be >= 1")
         if self.k_max < 1:

@@ -197,6 +197,18 @@ def hodge_star_2form(W):
 # ---------------------------------------------------------------------------
 # finite differences along the exact quaternion circles
 
+def _pullback(f):
+    """f as a callable on quaternions: a SpectralFunction's pullback, or f."""
+    return f.pullback if hasattr(f, "pullback") else f
+
+
+def _frame_stencil(f, axis, p, step, weights, order):
+    speed = 1.0 if axis == 0 else SQRT2
+    pts = quat_circle(np.asarray(p, dtype=float), axis,
+                      _FD_OFFSETS * step / speed)
+    return float(np.dot(weights, _pullback(f)(pts))) / step ** order
+
+
 def frame_derivative(f, axis, p, step=FD_STEP):
     """Derivative of a scalar function along the unit frame field v_axis at p.
 
@@ -204,33 +216,28 @@ def frame_derivative(f, axis, p, step=FD_STEP):
     0, 1, 2 for v1 = xi, v2, v3.  Eighth-order central differences along the
     exact circle p * exp(t i_hat / speed), where v2, v3 have speed sqrt(2).
     """
-    q = np.asarray(p, dtype=float)
-    func = f.pullback if hasattr(f, "pullback") else f
-    speed = 1.0 if axis == 0 else SQRT2
-    ts = _FD_OFFSETS * step
-    pts = quat_circle(q, axis, ts / speed)
-    return float(np.dot(_FD1_W, func(pts))) / step
+    return _frame_stencil(f, axis, p, step, _FD1_W, 1)
 
 
 def frame_second_derivative(f, axis, p, step=FD_STEP):
     """Second derivative along v_axis (same stencil conventions as above)."""
-    q = np.asarray(p, dtype=float)
-    func = f.pullback if hasattr(f, "pullback") else f
-    speed = 1.0 if axis == 0 else SQRT2
+    return _frame_stencil(f, axis, p, step, _FD2_W, 2)
+
+
+def _circle_derivative(F, q, v, step):
+    """Derivative of F at q along tangent v: the first-difference stencil on
+    the great circle toward v (zero, shaped like F(q), when v = 0)."""
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return np.zeros_like(F(q))
     ts = _FD_OFFSETS * step
-    pts = quat_circle(q, axis, ts / speed)
-    return float(np.dot(_FD2_W, func(pts))) / step ** 2
+    pts = np.cos(ts)[:, None] * q + np.sin(ts)[:, None] * (v / nv)
+    return _FD1_W @ F(pts) / step * nv
 
 
 def directional_derivative(f, q, v, step=FD_STEP):
     """Derivative of f at q along tangent v, via the great circle toward v."""
-    func = f.pullback if hasattr(f, "pullback") else f
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    ts = _FD_OFFSETS * step
-    pts = np.cos(ts)[:, None] * q + np.sin(ts)[:, None] * (v / nv)
-    return float(np.dot(_FD1_W, func(pts))) / step * nv
+    return float(_circle_derivative(_pullback(f), q, v, step))
 
 
 def lie_bracket_fd(X, Y, q, step=FD_STEP):
@@ -239,17 +246,8 @@ def lie_bracket_fd(X, Y, q, step=FD_STEP):
     X, Y: callables (..., 4) -> (..., 4) returning tangent vectors.
     """
     q = np.asarray(q, dtype=float)
-    Xq, Yq = X(q), Y(q)
-
-    def deriv(F, v):
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return np.zeros(4)
-        ts = _FD_OFFSETS * step
-        pts = np.cos(ts)[:, None] * q + np.sin(ts)[:, None] * (v / nv)
-        return _FD1_W @ F(pts) / step * nv
-
-    return deriv(Y, Xq) - deriv(X, Yq)
+    return (_circle_derivative(Y, q, X(q), step)
+            - _circle_derivative(X, q, Y(q), step))
 
 
 def measure_laplace_eigenvalue_degree1(seed=7):
@@ -430,6 +428,5 @@ class QuadratureS3:
         return cls(nodes, weights)
 
     def integrate(self, f):
-        vals = f.pullback(self.nodes) if hasattr(f, "pullback") else f(self.nodes)
-        return float(np.dot(self.weights, vals))
+        return float(np.dot(self.weights, _pullback(f)(self.nodes)))
 

@@ -224,7 +224,11 @@ class SpectralFunction:
             l, m = int(l), int(m)
             if not (0 <= l <= L and -l <= m <= l):
                 raise ValueError("triple (%d, %d) out of range" % (l, m))
-            f.coeffs[l, L + m] = float(v)
+            v = float(v)
+            if not np.isfinite(v):
+                raise ValueError("triple (%d, %d) value %r is not finite"
+                                 % (l, m, v))
+            f.coeffs[l, L + m] = v
         return f
 
     def to_triples(self, drop_tol=0.0):
@@ -251,13 +255,6 @@ class SpectralFunction:
         if L >= self.L:
             return self.padded(L)
         return SpectralFunction(self.coeffs[: L + 1, self.L - L: self.L + L + 1])
-
-    def trimmed(self, tol=0.0):
-        """Drop trailing degrees whose coefficients are all <= tol."""
-        L = self.L
-        while L > 0 and np.max(np.abs(self.coeffs[L])) <= tol:
-            L -= 1
-        return self.truncated(L)
 
     def degree_slice(self, l):
         return self.coeffs[l, self.L - l: self.L + l + 1]

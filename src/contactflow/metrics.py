@@ -61,11 +61,6 @@ def biinvariant_inner(f, h):
     return inner(MetricKind.BI_INVARIANT, f, h)
 
 
-def kinetic_energy(f):
-    """T = (1/2)(X_f, X_f)_e = (1/2) int_M f (1+Delta) f dmu; f is the velocity."""
-    return 0.5 * energy_inner(f, f)
-
-
 def metric_relation_residual(f, h):
     """|(X_f, X_h)_e - <X_{f + Delta f}, X_h>| with the two sides computed
     through different pipelines (quadrature of fields vs spectral pairing)."""

@@ -107,6 +107,45 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli(["axioms", "--L", "0"]).returncode == 2
 
 
+# (argv, config file text or None): each is rejected with exit 2, nothing on
+# stdout and no traceback, before any flow step or output file
+BAD_INPUT = [
+    (["evolve", "--dt", "2", "--t-end", "1"], None),
+    (["evolve", "--k-max", "0"], None),
+    (["evolve", "--init", "5,9,1.0"], None),
+    (["evolve", "--init", "1,0,nan"], None),
+    (["evolve", "--init", "1,0"], None),
+    (["evolve", "--init", "a,0,1"], None),
+    (["evolve", "--dt", "0.003", "--t-end", "0.01"], None),
+    (["evolve", "--dt", "nan"], None),
+    (["evolve", "--dt", "inf", "--t-end", "inf"], None),
+    (["evolve", "--t-end", "0.01", "--snapshot-every", "-3"], None),
+    (["evolve", "--t-end", "0.01", "--snapshot-every", "1"], None),
+    (["axioms", "--n-points", "0"], None),
+    (["curvature", "--degree-cutoff", "0"], None),
+    (["rot", "--seed", "-1"], None),
+    (["calibrate", "--out", "/nonexistent/dir/x.json"], None),
+    ([], "command = brackets\nL = 0\n"),
+    ([], "command = calibrate\nformat = xml\n"),
+    ([], "command = evolve\ndt = -1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,config", BAD_INPUT,
+                         ids=[" ".join(a) or c.splitlines()[-1]
+                              for a, c in BAD_INPUT])
+def test_bad_input_rejected_at_boundary(tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    r = run_cli(argv, timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.strip()
+
+
 def test_out_file_matches_stdout(tmp_path):
     out = tmp_path / "cal.json"
     a = run_cli(["calibrate"])

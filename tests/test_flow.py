@@ -86,6 +86,10 @@ def test_config_validation():
         IntegratorConfig(dt=0.0, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=-1.0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=0.003, t_end=0.01)
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=1e-3, t_end=np.inf)
 
 
 def test_rhs_matches_velocity_form():
