@@ -7,9 +7,12 @@ coordinates is -2 {F, H} with the standard sphere Poisson bracket
 The scale -2 is a consequence of the calibrated contact structure and is
 measured by the geometry oracle, not assumed (see geometry module).
 
-Brackets of band-limited functions are band-limited by degree sum; the
-pseudo-spectral product grid is always chosen to make the projection
-exact, which is stronger than the 3/2 de-aliasing rule.
+Brackets of band-limited functions are band-limited by the degree sum D.
+Each operand is synthesized at its own degree and the product grid is
+sized to the output degree L <= D: a grid integrating degree D + L exactly
+projects the bracket exactly (stronger than the 3/2 de-aliasing rule).
+At L = D this is for_degree(D); the flow's brackets (L = D/2) get a grid
+3/4 as fine each way and Legendre tables of half the degree.
 """
 
 from __future__ import annotations
@@ -35,22 +38,19 @@ DROP_TOL = 1e-13
 def lagrange_bracket(f, h, L_out=None):
     """[f, h] = X_f(h), exact to the full product degree by default.
 
-    The product is evaluated on a grid resolving degree f.L + h.L and
-    projected; pass L_out to truncate (the Euler flow truncates to its
-    band limit, identities are tested at full degree).
+    Pass L_out to get the bracket truncated (or zero-padded) to degree
+    L_out, as the Euler flow does; identities are tested at full degree.
     """
     D = f.L + h.L
-    grid = SphereGrid.for_degree(D)
-    fp, hp = f.padded(D), h.padded(D)
-    f_th = synthesize(fp, grid, deriv="dtheta")
-    f_lm = synthesize(fp, grid, deriv="dlambda_over_sin")
-    h_th = synthesize(hp, grid, deriv="dtheta")
-    h_lm = synthesize(hp, grid, deriv="dlambda_over_sin")
+    L = D if L_out is None else min(L_out, D)
+    grid = SphereGrid.for_integration(D + L, max(f.L, h.L))
+    f_th = synthesize(f, grid, deriv="dtheta")
+    f_lm = synthesize(f, grid, deriv="dlambda_over_sin")
+    h_th = synthesize(h, grid, deriv="dtheta")
+    h_lm = synthesize(h, grid, deriv="dlambda_over_sin")
     vals = -2.0 * (f_th * h_lm - f_lm * h_th)
-    out = analyze(GridFunction(grid, vals), D)
-    if L_out is not None:
-        out = out.truncated(L_out)
-    return out
+    out = analyze(GridFunction(grid, vals), L)
+    return out if L_out is None else out.padded(L_out)
 
 
 # ---------------------------------------------------------------------------

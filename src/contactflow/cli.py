@@ -101,7 +101,9 @@ def build_parser():
     p.add_argument("--init", type=_momentum, default=None,
                    help="initial momentum, 'l,m,value;l,m,value;...' (evolve)")
     p.add_argument("--snapshot-every", type=_at_least(0), default=0,
-                   help="full-state JSON snapshot stride (evolve)")
+                   help="full-state JSON snapshot stride in steps; also "
+                        "thins the invariant rows to every N-th step and "
+                        "the last (evolve)")
     return p
 
 

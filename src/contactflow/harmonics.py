@@ -25,10 +25,17 @@ identity for the function and d/dtheta, the rotation
 (a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables vanish at
 l < m, so the sum over l is one batched product over all orders, and the
 maps act on coefficient-sized arrays only.
+
+A grid is a view of a shared Gauss-Legendre plan, one per nlat in a
+fixed-size cache: nodes, weights and Legendre tables are computed once per
+nlat, so a fresh grid per bracket costs no table build.  The tables grow
+to the largest degree asked and are sliced for smaller ones; all shared
+arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +87,47 @@ def legendre_tables(x, L):
     return P, dP, Q
 
 
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+class _GaussPlan:
+    """Gauss-Legendre nodes and weights for one nlat, and the Legendre
+    tables at those nodes, built on first use.
+
+    The tables grow to the largest L requested and are sliced for smaller
+    L; since P[l, m] depends only on lower degrees, a slice is bit-for-bit
+    the table a fresh build at that L would give.  Every array is
+    read-only, because every grid with this nlat shares it.
+    """
+
+    def __init__(self, nlat):
+        x, w = np.polynomial.legendre.leggauss(nlat)
+        self.x, self.w, self.theta = _frozen(x), _frozen(w), _frozen(np.arccos(x))
+        self._built = (-1, {})    # (degree, tables), replaced as one value
+
+    def tables(self, L):
+        built, tables = self._built
+        if L > built:
+            tables = dict(zip(("P", "dP", "Q"),
+                              map(_frozen, legendre_tables(self.x, L))))
+            self._built = (L, tables)
+        return {k: v[: L + 1, : L + 1] for k, v in tables.items()}
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(nlat):
+    return _GaussPlan(nlat)
+
+
 class SphereGrid:
     """Gauss-Legendre (colatitude) x equiangular (longitude) grid.
 
     for_degree(L) builds a grid on which analysis of band-L functions is
     quadrature-exact and synthesis of any degree <= L is alias-free; this
     exceeds the 3/2-rule resolution for quadratic products at the same L.
+    x, w, theta and the tables are the read-only arrays of the nlat plan.
     """
 
     def __init__(self, nlat, nlon):
@@ -93,13 +135,9 @@ class SphereGrid:
             raise ValueError("grid must have nlat >= 1, nlon >= 2")
         self.nlat = nlat
         self.nlon = nlon
-        x, w = np.polynomial.legendre.leggauss(nlat)
-        self.x = x
-        self.w = w
-        self.theta = np.arccos(x)
+        self._plan = _plan(nlat)
+        self.x, self.w, self.theta = self._plan.x, self._plan.w, self._plan.theta
         self.lam = 2.0 * np.pi * np.arange(nlon) / nlon
-        self._tables = {}
-        self._tables_L = -1
 
     @classmethod
     def for_degree(cls, L):
@@ -115,12 +153,8 @@ class SphereGrid:
         return cls(nlat, nlon)
 
     def tables(self, L):
-        if L > self._tables_L:
-            self._tables = dict(zip(("P", "dP", "Q"), legendre_tables(self.x, L)))
-            self._tables_L = L
-        if L == self._tables_L:
-            return self._tables
-        return {k: v[: L + 1, : L + 1] for k, v in self._tables.items()}
+        """{"P", "dP", "Q"}: legendre_tables at the nodes, read-only."""
+        return self._plan.tables(L)
 
     def integrate(self, values):
         """Integral over the unit sphere (dOmega)."""
@@ -215,15 +249,19 @@ class SpectralFunction:
 
     @classmethod
     def from_triples(cls, triples, L=None):
-        """Build from (l, m, value) triples."""
+        """Build from (l, m, value) triples; each (l, m) at most once."""
         triples = list(triples)
         if L is None:
             L = max((int(l) for l, _, _ in triples), default=0)
         f = cls.zeros(L)
+        seen = set()
         for l, m, v in triples:
             l, m = int(l), int(m)
             if not (0 <= l <= L and -l <= m <= l):
                 raise ValueError("triple (%d, %d) out of range" % (l, m))
+            if (l, m) in seen:
+                raise ValueError("triple (%d, %d) given twice" % (l, m))
+            seen.add((l, m))
             v = float(v)
             if not np.isfinite(v):
                 raise ValueError("triple (%d, %d) value %r is not finite"

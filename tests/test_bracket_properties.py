@@ -1,0 +1,69 @@
+"""Property tests for lagrange_bracket over random band limits: the Lie
+algebra identities, and truncation to any L_out agreeing with the
+full-degree bracket."""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from contactflow.bracket import lagrange_bracket
+from contactflow.harmonics import SpectralFunction, product
+
+seeds = st.integers(0, 2 ** 32 - 1)
+fast = settings(max_examples=50, deadline=None)
+
+
+def randoms(seed, *Ls):
+    rng = np.random.default_rng(seed)
+    return [SpectralFunction.random(L, rng) for L in Ls]
+
+
+@fast
+@given(Lf=st.integers(0, 10), Lh=st.integers(0, 10), seed=seeds)
+@example(Lf=0, Lh=3, seed=0)
+def test_antisymmetry(Lf, Lh, seed):
+    f, h = randoms(seed, Lf, Lh)
+    fh = lagrange_bracket(f, h)
+    assert fh.L == Lf + Lh
+    assert (fh + lagrange_bracket(h, f)).norm_base() <= 1e-13 * fh.norm_base()
+
+
+@fast
+@given(Lf=st.integers(0, 4), Lg=st.integers(0, 4), Lh=st.integers(0, 4),
+       seed=seeds)
+@example(Lf=1, Lg=0, Lh=2, seed=0)
+def test_leibniz(Lf, Lg, Lh, seed):
+    f, g, h = randoms(seed, Lf, Lg, Lh)
+    lhs = lagrange_bracket(f, product(g, h))
+    rhs = (product(lagrange_bracket(f, g), h)
+           + product(g, lagrange_bracket(f, h)))
+    assert (lhs - rhs).norm_base() <= 1e-12 * max(lhs.norm_base(), 1.0)
+
+
+@fast
+@given(Lf=st.integers(0, 4), Lg=st.integers(0, 4), Lh=st.integers(0, 4),
+       seed=seeds)
+def test_jacobi(Lf, Lg, Lh, seed):
+    f, g, h = randoms(seed, Lf, Lg, Lh)
+    terms = [lagrange_bracket(f, lagrange_bracket(g, h)),
+             lagrange_bracket(g, lagrange_bracket(h, f)),
+             lagrange_bracket(h, lagrange_bracket(f, g))]
+    scale = max(t.norm_base() for t in terms)
+    assert (terms[0] + terms[1] + terms[2]).norm_base() <= 1e-12 * max(scale, 1.0)
+
+
+@fast
+@given(Lf=st.integers(0, 10), Lh=st.integers(0, 10),
+       excess=st.integers(-20, 3), seed=seeds)
+@example(Lf=4, Lh=4, excess=-4, seed=0)   # the flow's L_out = h.L = D / 2
+@example(Lf=3, Lh=5, excess=-8, seed=0)   # L_out = 0
+@example(Lf=0, Lh=0, excess=2, seed=0)
+def test_truncated_bracket_matches_full_degree(Lf, Lh, excess, seed):
+    f, h = randoms(seed, Lf, Lh)
+    D = Lf + Lh
+    L_out = max(D + excess, 0)
+    full = lagrange_bracket(f, h)
+    got = lagrange_bracket(f, h, L_out)
+    assert got.L == L_out
+    want = full.truncated(L_out)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * full.norm_base()

@@ -116,6 +116,7 @@ BAD_INPUT = [
     (["evolve", "--init", "1,0,nan"], None),
     (["evolve", "--init", "1,0"], None),
     (["evolve", "--init", "a,0,1"], None),
+    (["evolve", "--t-end", "0.01", "--init", "1,0,1;1,0,2"], None),
     (["evolve", "--dt", "0.003", "--t-end", "0.01"], None),
     (["evolve", "--dt", "nan"], None),
     (["evolve", "--dt", "inf", "--t-end", "inf"], None),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactflow import geometry
+from contactflow import geometry, harmonics
 from contactflow.harmonics import (
     SpectralFunction,
     SphereGrid,
@@ -119,6 +119,38 @@ def test_triples_round_trip_and_slices():
         SpectralFunction.from_triples([(1, 2, 1.0)])
     with pytest.raises(ValueError):
         SpectralFunction.from_triples([(1, 0, np.nan)])
+
+
+def test_triples_reject_a_repeated_mode():
+    with pytest.raises(ValueError, match="twice"):
+        SpectralFunction.from_triples([(1, 0, 1.0), (2, 1, 0.5), (1, 0, 2.0)])
+    f = SpectralFunction.from_triples([(1, 1, 2.0), (1, -1, 3.0)])
+    assert f.to_triples() == [(1, -1, 3.0), (1, 1, 2.0)]
+
+
+def test_grid_plan_arrays_are_shared_and_read_only():
+    a, b = SphereGrid(7, 16), SphereGrid.for_degree(6)
+    assert a.x is b.x and a.w is b.w and a.theta is b.theta
+    for arr in (a.x, a.w, a.tables(6)["P"], a.tables(3)["dP"], b.tables(5)["Q"]):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_plan_tables_match_a_fresh_build_whatever_came_first():
+    harmonics._plan.cache_clear()
+    grid = SphereGrid(11, 24)
+    for L in (2, 9, 4, 12, 9):
+        want = legendre_tables(grid.x, L)
+        for name, w in zip(("P", "dP", "Q"), want):
+            assert np.array_equal(grid.tables(L)[name], w)
+
+
+def test_plan_cache_is_bounded():
+    maxsize = harmonics._plan.cache_info().maxsize
+    assert maxsize is not None
+    for nlat in range(1, maxsize + 3):
+        SphereGrid(nlat, 2)
+    assert harmonics._plan.cache_info().currsize <= maxsize
 
 
 def test_spectral_function_owns_its_coefficients():
