@@ -8,16 +8,19 @@ The scale -2 is a consequence of the calibrated contact structure and is
 measured by the geometry oracle, not assumed (see geometry module).
 
 Brackets of band-limited functions are band-limited by the degree sum D.
-Each operand is synthesized at its own degree and the product grid is
+The operands are synthesized as one stack, one call per tag, on a grid
 sized to the output degree L <= D: a grid integrating degree D + L exactly
 projects the bracket exactly (stronger than the 3/2 de-aliasing rule).
 At L = D this is for_degree(D); the flow's brackets (L = D/2) get a grid
-3/4 as fine each way and Legendre tables of half the degree.
+3/4 as fine each way and Legendre tables of half the degree.  The
+structure constants synthesize the whole basis once on for_degree(2L) and
+are stored as (i, j, k, c) arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +30,8 @@ from .harmonics import (
     GridFunction,
     SphereGrid,
     SpectralFunction,
+    _triangle,
+    adjoint_analyze,
     analyze,
     inner_M,
     synthesize,
@@ -43,12 +48,12 @@ def lagrange_bracket(f, h, L_out=None):
     """
     D = f.L + h.L
     L = D if L_out is None else min(L_out, D)
-    grid = SphereGrid.for_integration(D + L, max(f.L, h.L))
-    f_th = synthesize(f, grid, deriv="dtheta")
-    f_lm = synthesize(f, grid, deriv="dlambda_over_sin")
-    h_th = synthesize(h, grid, deriv="dtheta")
-    h_lm = synthesize(h, grid, deriv="dlambda_over_sin")
-    vals = -2.0 * (f_th * h_lm - f_lm * h_th)
+    L_in = max(f.L, h.L)
+    grid = SphereGrid.for_integration(D + L, L_in)
+    fh = np.stack([f.padded(L_in).coeffs, h.padded(L_in).coeffs])
+    th = synthesize(fh, grid, deriv="dtheta")
+    lm = synthesize(fh, grid, deriv="dlambda_over_sin")
+    vals = -2.0 * (th[0] * lm[1] - lm[0] * th[1])
     out = analyze(GridFunction(grid, vals), L)
     return out if L_out is None else out.padded(L_out)
 
@@ -78,74 +83,68 @@ def basis_function(i, L=None):
                                  L=L if L is not None else l)
 
 
-def basis_expansion(b, tol=0.0):
-    """(i, c_i) with |c_i| > tol for b = sum_i c_i f_i; degree 0 is skipped."""
-    out = []
-    for l in range(1, b.L + 1):
-        for m in range(-l, l + 1):
-            c = b.coeffs[l, b.L + m] * np.sqrt(geometry.FIBER_FACTOR)
-            if abs(c) > tol:
-                out.append((basis_index(l, m), float(c)))
-    return out
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class StructureConstants:
     """Sparse c^i_{jk} with [f_j, f_k] = sum_i c^i_{jk} f_i.
 
     The basis {f_i} is the L^2(M)-orthonormal eigenfunction basis; entries
-    below DROP_TOL are dropped.  Only j < k pairs are stored; antisymmetry
-    supplies the rest.
+    with |c| <= DROP_TOL are dropped.  Only j < k pairs are stored, as four
+    arrays in (j, k, i) order; antisymmetry supplies the rest.  A pair
+    beyond degree L raises ValueError.
     """
     L: int
-    entries: dict = field(default_factory=dict)
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    c: np.ndarray
+
+    def _pair(self, j, k):
+        """(i, c) arrays of the pair (j, k), with the antisymmetry sign."""
+        n = basis_size(self.L)
+        if not (0 <= j < n and 0 <= k < n):
+            raise ValueError("pair (%d, %d) beyond degree %d" % (j, k, self.L))
+        key = min(j, k) * n + max(j, k)
+        lo, hi = np.searchsorted(self.j * n + self.k, (key, key + 1))
+        return self.i[lo:hi], (1.0 if j < k else -1.0) * self.c[lo:hi]
 
     def coefficient(self, i, j, k):
-        if j == k:
-            return 0.0
-        sign = 1.0
-        if j > k:
-            j, k, sign = k, j, -1.0
-        for ii, c in self.entries.get((j, k), ()):
-            if ii == i:
-                return sign * c
-        return 0.0
+        return dict(self.row(j, k)).get(i, 0.0)
 
     def row(self, j, k):
         """List of (i, c^i_{jk}) with the antisymmetry sign applied."""
-        if j == k:
-            return []
-        if j > k:
-            return [(i, -c) for i, c in self.entries.get((k, j), ())]
-        return list(self.entries.get((j, k), ()))
+        return list(zip(*(a.tolist() for a in self._pair(j, k))))
 
     def iter_rows(self):
-        for (j, k) in sorted(self.entries):
-            for i, c in self.entries[(j, k)]:
-                yield i, j, k, c
+        return zip(*(a.tolist() for a in (self.i, self.j, self.k, self.c)))
 
 
 def structure_constants(L):
     """All c^i_{jk} = <[f_j, f_k], f_i>_M for basis degrees <= L.
 
-    The bracket of degrees (dj, dk) is resolved exactly, so the selection
-    rule degree(i) <= dj + dk holds by construction; coefficients with
-    degree(i) > L are retained (they are honest algebra data even though
-    they leave the band).
+    The basis is synthesized once per tag on for_degree(2L), which resolves
+    every bracket; for each j the brackets with all k > j are analyzed in
+    one call.  Kept: |c| > DROP_TOL and 1 <= deg i <= deg j + deg k, the
+    exact bracket's selection rule (outside it the grid leaves round-off).
+    Entries with deg i > L are honest algebra data and are kept.
     """
     if L < 1:
         raise ValueError("structure constants need L >= 1")
-    n = basis_size(L)
-    sc = StructureConstants(L)
-    funcs = [basis_function(i) for i in range(n)]
-    for j in range(n):
-        if basis_lm(j)[0] == 0:
-            continue  # bracket with the constant mode vanishes identically
-        for k in range(j + 1, n):
-            row = basis_expansion(lagrange_bracket(funcs[j], funcs[k]), DROP_TOL)
-            if row:
-                sc.entries[(j, k)] = row
-    return sc
+    n, D = basis_size(L), 2 * L
+    basis = np.stack([basis_function(i, L).coeffs for i in range(n)])
+    slots = _triangle(D)
+    deg = np.nonzero(slots)[0]
+    grid = SphereGrid.for_degree(D)
+    th = synthesize(basis, grid, deriv="dtheta")
+    lm = synthesize(basis, grid, deriv="dlambda_over_sin")
+    rows = []
+    for j in range(1, n - 1):   # brackets with the constant mode j = 0 vanish
+        vals = -2.0 * (th[j] * lm[j + 1:] - lm[j] * th[j + 1:])
+        c = np.sqrt(geometry.FIBER_FACTOR) * adjoint_analyze(vals, grid, D, None)[:, slots]
+        keep = ((np.abs(c) > DROP_TOL) & (deg >= 1)
+                & (deg <= deg[j] + deg[j + 1:n, None]))
+        kk, ii = np.nonzero(keep)
+        rows.append((ii, np.full(ii.size, j), kk + j + 1, c[kk, ii]))
+    return StructureConstants(L, *map(np.concatenate, zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +160,8 @@ def verify_homomorphism(f, h, n_points=8, seed=0, step=geometry.FD_STEP):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n_points, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    br = lagrange_bracket(f, h)
-
-    def Xf(pts):
-        return contact_field_at(f, pts)
-
-    def Xh(pts):
-        return contact_field_at(h, pts)
-
-    right = contact_field_at(br, q)
+    Xf, Xh = partial(contact_field_at, f), partial(contact_field_at, h)
+    right = contact_field_at(lagrange_bracket(f, h), q)
     resid = 0.0
     for i in range(n_points):
         left = geometry.lie_bracket_fd(Xf, Xh, q[i], step=step)

@@ -27,10 +27,10 @@ import numpy as np
 from . import geometry
 from .bracket import (
     StructureConstants,
-    basis_expansion,
     basis_function,
     basis_lm,
     lagrange_bracket,
+    structure_constants,
 )
 from .harmonics import SphereGrid, SpectralFunction, eigenvalue, synthesize
 from .metrics import MetricKind, energy_inner, inner
@@ -168,14 +168,12 @@ STRUCTURAL_SIGN = 1
 def structural_sign(tol=1e-8):
     """Measured overall sign of the structure-constant curvature form.
 
-    An oracle, not a cache: every call compares the bracketed sum against
-    k_eigen on a degree-1 basis pair, where exactly one sign can match (the
-    value is nonzero there).  Raises if neither does.
+    An oracle, not a cache: every call compares the form on the degree-1
+    pair (2, 3) of a fresh structure_constants(1) against k_eigen, where
+    exactly one sign can match (the value is nonzero).  Raises if neither does.
     """
-    f = basis_function(2)   # (l, m) = (1, 0)
-    h = basis_function(3)   # (l, m) = (1, 1)
-    reference = k_eigen(f, h)
-    magnitude = _structural_sum(f, h)
+    reference = k_eigen(basis_function(2), basis_function(3))
+    magnitude = _structural_form(structure_constants(1), 2, 3)
     for sign in (1, -1):
         if abs(sign * magnitude - reference) < tol * max(1.0, abs(reference)):
             return sign
@@ -184,34 +182,24 @@ def structural_sign(tol=1e-8):
         "sum %r vs reference %r" % (magnitude, reference))
 
 
-def _structural_terms(c_list, alpha, beta):
-    total = 0.0
-    for i, c in c_list:
-        a_i = eigenvalue(basis_lm(i)[0])
-        total += c * c * (-0.75 * a_i
-                          + 0.25 * (1.0 + 2.0 * (alpha + beta))
-                          + 0.25 * (alpha - beta) ** 2 / (1.0 + a_i))
-    return total / ((1.0 + alpha) * (1.0 + beta))
-
-
-def _structural_sum(f, h):
-    """The bracketed sum evaluated directly from a bracket expansion
-    (used only by the sign oracle; production goes through tables)."""
-    alpha = eigenvalue(_single_degree(f))
-    beta = eigenvalue(_single_degree(h))
-    return _structural_terms(basis_expansion(lagrange_bracket(f, h)), alpha, beta)
+def _structural_form(constants, j, k):
+    """The form's sum over the c^i_{jk} of a basis pair, without the sign."""
+    i, c = constants._pair(j, k)
+    alpha, beta = eigenvalue(basis_lm(j)[0]), eigenvalue(basis_lm(k)[0])
+    a_i = eigenvalue(np.floor(np.sqrt(i)))
+    terms = c * c * (-0.75 * a_i
+                     + 0.25 * (1.0 + 2.0 * (alpha + beta))
+                     + 0.25 * (alpha - beta) ** 2 / (1.0 + a_i))
+    return float(np.sum(terms)) / ((1.0 + alpha) * (1.0 + beta))
 
 
 def k_structural(constants, j, k):
     """Curvature of the plane of basis pair (j, k) from structure constants.
 
     The basis is L^2(M)-orthonormal (the form's own normalization);
-    STRUCTURAL_SIGN is applied.  Returns the signed curvature value.
+    STRUCTURAL_SIGN is applied.  Returns the signed curvature value; a
+    pair beyond the table's degree raises ValueError.
     """
     if not isinstance(constants, StructureConstants):
         raise TypeError("k_structural expects a StructureConstants table")
-    lj, lk = basis_lm(j)[0], basis_lm(k)[0]
-    if lj == 0 or lk == 0:
-        return 0.0
-    alpha, beta = eigenvalue(lj), eigenvalue(lk)
-    return STRUCTURAL_SIGN * _structural_terms(constants.row(j, k), alpha, beta)
+    return STRUCTURAL_SIGN * _structural_form(constants, j, k)

@@ -17,7 +17,9 @@ q(theta, lam) = exp(i lam/2) exp(k theta/2), on which
 
 and ambient evaluation anywhere on S^3 goes through the rotation columns
 R_i(q) = q i_hat_i conj(q):  v2 f = -sqrt2 R3 . grad_{S^2} F and
-v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f.
+v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f.  The potentials are
+synthesized as one stack per tag, and every value and derivative needed
+at a point set comes from one Legendre table build.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
@@ -31,6 +33,7 @@ from .geometry import SQRT2
 from .harmonics import (
     GridFunction,
     SpectralFunction,
+    _evaluate_at,
     adjoint_analyze,
     analyze,
     synthesize,
@@ -44,21 +47,24 @@ def _as_spectral(f):
 
 
 def invariant_gradient_frame(f, q):
-    """(v2 f, v3 f) at S^3 points for a Reeb-invariant f, via the global
-    rotation-column identities."""
-    q = np.asarray(q, dtype=float)
+    """(v2 f, v3 f) at S^3 points for a Reeb-invariant f."""
+    _, (v2f,), (v3f,) = _frame_data(q, f, f)
+    return v2f, v3f
+
+
+def _frame_data(q, a, *potentials):
+    """a, and (v2 f, v3 f) stacked over the potentials f, at S^3 points from
+    one Legendre table build, via the global rotation-column identities."""
     theta, lam = geometry.hopf_angles(q)
-    dth = f.evaluate_base(theta, lam, deriv="dtheta")
-    dlm = f.evaluate_base(theta, lam, deriv="dlambda_over_sin")
+    derivs = [(f, t) for f in potentials for t in ("dtheta", "dlambda_over_sin")]
+    av, *d = _evaluate_at([(a, None)] + derivs, theta, lam)
     st, ct = np.sin(theta), np.cos(theta)
     sl, cl = np.sin(lam), np.cos(lam)
     e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
     e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
-    grad = dth[..., None] * e_th + dlm[..., None] * e_lm
+    grad = np.stack(d[::2])[..., None] * e_th + np.stack(d[1::2])[..., None] * e_lm
     _, r2, r3 = geometry.rotation_columns(q)
-    v2f = -SQRT2 * np.sum(r3 * grad, axis=-1)
-    v3f = SQRT2 * np.sum(r2 * grad, axis=-1)
-    return v2f, v3f
+    return av, -SQRT2 * np.sum(r3 * grad, axis=-1), SQRT2 * np.sum(r2 * grad, axis=-1)
 
 
 class FrameField:
@@ -96,13 +102,12 @@ class FrameField:
         if B.grid is not grid or C.grid is not grid:
             raise ValueError("component grids must coincide")
         a = analyze(A, L)
-        adj_B_th = adjoint_analyze(B.values, grid, L, "dtheta")
-        adj_B_lm = adjoint_analyze(B.values, grid, L, "dlambda_over_sin")
-        adj_C_th = adjoint_analyze(C.values, grid, L, "dtheta")
-        adj_C_lm = adjoint_analyze(C.values, grid, L, "dlambda_over_sin")
+        BC = np.stack([B.values, C.values])
+        th = adjoint_analyze(BC, grid, L, "dtheta")
+        lm = adjoint_analyze(BC, grid, L, "dlambda_over_sin")
         # the derivative functionals vanish at degree 0, as inverse_laplacian needs
-        u = SpectralFunction(SQRT2 * (adj_C_th - adj_B_lm)).inverse_laplacian()
-        w = SpectralFunction(-SQRT2 * (adj_B_th + adj_C_lm)).inverse_laplacian()
+        u = SpectralFunction(SQRT2 * (th[1] - lm[0])).inverse_laplacian()
+        w = SpectralFunction(-SQRT2 * (th[0] + lm[1])).inverse_laplacian()
         return cls(a, u, w)
 
     # -- structure ------------------------------------------------------------
@@ -127,21 +132,19 @@ class FrameField:
     def components(self, grid):
         """Section component grids (A, B, C) in the unit frame (v1, v2, v3)."""
         A = synthesize(self.a, grid)
-        u_th = synthesize(self.u, grid, deriv="dtheta")
-        u_lm = synthesize(self.u, grid, deriv="dlambda_over_sin")
-        w_th = synthesize(self.w, grid, deriv="dtheta")
-        w_lm = synthesize(self.w, grid, deriv="dlambda_over_sin")
-        B = -SQRT2 * (u_lm + w_th)
-        C = SQRT2 * (u_th - w_lm)
+        L = max(self.u.L, self.w.L)
+        uw = np.stack([self.u.padded(L).coeffs, self.w.padded(L).coeffs])
+        th = synthesize(uw, grid, deriv="dtheta")
+        lm = synthesize(uw, grid, deriv="dlambda_over_sin")
+        B = -SQRT2 * (lm[0] + th[1])
+        C = SQRT2 * (th[0] - lm[1])
         return (GridFunction(grid, A), GridFunction(grid, B), GridFunction(grid, C))
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4)."""
         q = np.asarray(q, dtype=float)
         v1, v2, v3 = geometry.unit_frame(q)
-        av = self.a.pullback(q)
-        u2, u3 = invariant_gradient_frame(self.u, q)
-        w2, w3 = invariant_gradient_frame(self.w, q)
+        av, (u2, w2), (u3, w3) = _frame_data(q, self.a, self.u, self.w)
         c2 = u2 - w3
         c3 = u3 + w2
         return av[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
@@ -183,6 +186,5 @@ def contact_field_at(f, q):
     """Ambient values of X_f without building a FrameField."""
     q = np.asarray(q, dtype=float)
     v1, v2, v3 = geometry.unit_frame(q)
-    fv = f.pullback(q)
-    v2f, v3f = invariant_gradient_frame(f, q)
+    fv, (v2f,), (v3f,) = _frame_data(q, f, f)
     return fv[..., None] * v1 + v3f[..., None] * v2 - v2f[..., None] * v3

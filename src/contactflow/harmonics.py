@@ -23,8 +23,11 @@ each colatitude node, and _adjoint is its transpose.  A derivative tag
 picks the Legendre table and a 2x2 map per order on (a_m, b_m): the
 identity for the function and d/dtheta, the rotation
 (a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables vanish at
-l < m, so the sum over l is one batched product over all orders, and the
-maps act on coefficient-sized arrays only.
+l < m, so the sum over l is one batched product over all orders.  Leading
+axes are batch axes: synthesize takes a stack of coefficient arrays and
+adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
+its own call.  Scattered evaluation of several (function, tag) pairs at
+one point set shares one Legendre table build.
 
 A grid is a view of a shared Gauss-Legendre plan, one per nlat in a
 fixed-size cache: nodes, weights and Legendre tables are computed once per
@@ -85,6 +88,11 @@ def legendre_tables(x, L):
             dP[l, m] = a * (-s * P[l - 1, m] + x * dP[l - 1, m] - b * dP[l - 2, m])
             Q[l, m] = a * (x * Q[l - 1, m] - b * Q[l - 2, m])
     return P, dP, Q
+
+
+def _triangle(L):
+    """Mask of the (l, m) slots of coeffs[l, L + m]; row-major, in basis order."""
+    return np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
 
 
 def _frozen(a):
@@ -270,13 +278,9 @@ class SpectralFunction:
         return f
 
     def to_triples(self, drop_tol=0.0):
-        out = []
-        for l in range(self.L + 1):
-            for m in range(-l, l + 1):
-                v = self.coeffs[l, self.L + m]
-                if abs(v) > drop_tol:
-                    out.append((l, m, float(v)))
-        return out
+        l, col = np.nonzero(_triangle(self.L))
+        return [(int(a), int(b) - self.L, float(v))
+                for a, b, v in zip(l, col, self.coeffs[l, col]) if abs(v) > drop_tol]
 
     # -- structure ----------------------------------------------------------
 
@@ -371,17 +375,7 @@ class SpectralFunction:
 
     def evaluate_base(self, theta, lam, deriv=None):
         """Scattered evaluation at colatitude/longitude arrays."""
-        theta = np.asarray(theta, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        shape = np.broadcast(theta, lam).shape
-        th = np.broadcast_to(theta, shape).ravel()
-        lm = np.broadcast_to(lam, shape).ravel()
-        name, R = _symbol(deriv, self.L)
-        tables = dict(zip(("P", "dP", "Q"), legendre_tables(np.cos(th), self.L)))
-        ab = _forward(self.coeffs, tables[name], R)
-        m_lam = np.arange(self.L + 1)[:, None] * lm
-        vals = np.sum(ab[:, 0] * np.cos(m_lam) + ab[:, 1] * np.sin(m_lam), axis=0)
-        return vals.reshape(shape)
+        return _evaluate_at([(self, deriv)], theta, lam)[0]
 
     def pullback(self, q):
         """Values of the Reeb-invariant extension at S^3 points (..., 4)."""
@@ -414,47 +408,70 @@ def _symbol(deriv, L):
 
 
 def _forward(coeffs, table, R):
-    """ab[m, :, j] = R[m] @ sum_l (c_lm^cos, c_lm^sin) table[l, m, j]."""
-    L = coeffs.shape[0] - 1
-    cs = np.zeros((L + 1, 2, L + 1))                  # [m, cos/sin, l]
-    cs[:, 0] = coeffs[:, L:].T
-    cs[1:, 1] = coeffs[:, :L][:, ::-1].T
-    return np.matmul(np.matmul(R, cs), table.transpose(1, 0, 2))   # [m, a/b, j]
+    """ab[..., m, :, j] = R[m] @ sum_l (c_lm^cos, c_lm^sin) table[l, m, j]."""
+    L = coeffs.shape[-2] - 1
+    cs = np.zeros(coeffs.shape[:-2] + (L + 1, 2, L + 1))     # [..., m, cos/sin, l]
+    cs[..., 0, :] = np.swapaxes(coeffs[..., L:], -1, -2)
+    cs[..., 1:, 1, :] = np.swapaxes(coeffs[..., :L][..., ::-1], -1, -2)
+    return np.matmul(np.matmul(R, cs), table.transpose(1, 0, 2))   # [..., m, a/b, j]
 
 
 def _adjoint(ab, table, R):
-    """Transpose of _forward: coefficients from per-order data ab[m, j, a/b]."""
+    """Transpose of _forward: coefficients from per-order data ab[..., m, j, a/b]."""
     L = table.shape[0] - 1
-    cs = np.matmul(np.matmul(table.transpose(1, 0, 2), ab), R)    # [m, l, cos/sin]
-    coeffs = np.empty((L + 1, 2 * L + 1))
-    coeffs[:, L:] = cs[:, :, 0].T
-    coeffs[:, :L] = cs[1:, :, 1][::-1].T
+    cs = np.matmul(np.matmul(table.transpose(1, 0, 2), ab), R)    # [..., m, l, cos/sin]
+    coeffs = np.empty(cs.shape[:-3] + (L + 1, 2 * L + 1))
+    coeffs[..., L:] = np.swapaxes(cs[..., 0], -1, -2)
+    coeffs[..., :L] = np.swapaxes(cs[..., 1:, :, 1][..., ::-1, :], -1, -2)
     return coeffs
 
 
+def _evaluate_at(pairs, theta, lam):
+    """Values of (function, tag) pairs at one set of scattered points, from
+    one Legendre table build sliced to each function's degree."""
+    theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
+    L = max(f.L for f, _ in pairs)
+    tables = dict(zip(("P", "dP", "Q"), legendre_tables(np.cos(theta.ravel()), L)))
+    m_lam = np.arange(L + 1)[:, None] * lam.ravel()
+    cos, sin = np.cos(m_lam), np.sin(m_lam)
+    out = []
+    for f, deriv in pairs:
+        name, R = _symbol(deriv, f.L)
+        n = f.L + 1
+        ab = _forward(f.coeffs, tables[name][:n, :n], R)
+        out.append(np.sum(ab[:, 0] * cos[:n] + ab[:, 1] * sin[:n], axis=0))
+    return [v.reshape(theta.shape) for v in out]
+
+
 def _analysis(values, grid, L, deriv):
-    """Quadrature pairing of grid values with deriv(Y_lm), l <= L."""
+    """Quadrature pairing of grids (..., nlat, nlon) with deriv(Y_lm), l <= L."""
+    if grid.nlon < 2 * L + 2:
+        raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
     name, R = _symbol(deriv, L)
     weights = grid.w * (2.0 * np.pi / grid.nlon)
-    C = np.fft.rfft(values, axis=1)[:, :L + 1].T * weights
+    C = np.swapaxes(np.fft.rfft(values, axis=-1)[..., :L + 1], -1, -2) * weights
     return _adjoint(np.stack([C.real, -C.imag], axis=-1), grid.tables(L)[name], R)
 
 
 def synthesize(f, grid, deriv=None):
     """Values of f (or a tangential derivative) on a SphereGrid.
 
-    deriv: None for the function itself, "dtheta" for d/dtheta,
-    "dlambda_over_sin" for (1/sin theta) d/dlambda; the latter two are the
-    ingredients of every frame derivative on the base.
+    f is a SpectralFunction or a stack of coefficient arrays (..., L+1, 2L+1),
+    giving values (..., nlat, nlon).  deriv: None for f itself, "dtheta" for
+    d/dtheta, "dlambda_over_sin" for (1/sin theta) d/dlambda; the latter two
+    are the ingredients of every frame derivative on the base.
     """
-    L = f.L
+    coeffs = f.coeffs if isinstance(f, SpectralFunction) else np.asarray(f, dtype=float)
+    if coeffs.ndim < 2 or coeffs.shape[-1] != 2 * coeffs.shape[-2] - 1:
+        raise ValueError("coefficient arrays must have shape (..., L+1, 2L+1)")
+    L = coeffs.shape[-2] - 1
     if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude for degree %d" % L)
     name, R = _symbol(deriv, L)
-    ab = _forward(f.coeffs, grid.tables(L)[name], R)
-    C = ab[:, 0] - 1j * ab[:, 1]
-    C[1:] *= 0.5
-    return np.fft.irfft(C.T, n=grid.nlon, axis=1, norm="forward")
+    ab = _forward(coeffs, grid.tables(L)[name], R)
+    C = ab[..., 0, :] - 1j * ab[..., 1, :]
+    C[..., 1:, :] *= 0.5
+    return np.fft.irfft(np.swapaxes(C, -1, -2), n=grid.nlon, axis=-1, norm="forward")
 
 
 def analyze(g, L=None):
@@ -468,18 +485,17 @@ def analyze(g, L=None):
         L = grid.nlat - 1
     if grid.nlat < L + 1:
         raise ValueError("grid too coarse in latitude to analyze degree %d" % L)
-    if grid.nlon < 2 * L + 2:
-        raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
     return SpectralFunction(_analysis(g.values, grid, L, None))
 
 
 def adjoint_analyze(values, grid, L, deriv):
     """Coefficient functionals c[l,m] = <values, deriv(Y_lm)>_{S^2}.
 
-    deriv is "dtheta" or "dlambda_over_sin" (None gives analyze's
-    coefficients); this is the quadrature adjoint of the corresponding
-    synthesis, the workhorse of integration by parts on the base (no pole
-    terms: the test functions carry the sin factors).
+    values (..., nlat, nlon) gives coefficients (..., L+1, 2L+1).  deriv is
+    "dtheta" or "dlambda_over_sin" (None gives analyze's coefficients); this
+    is the quadrature adjoint of the corresponding synthesis, the workhorse
+    of integration by parts on the base (no pole terms: the test functions
+    carry the sin factors).
     """
     return _analysis(values, grid, L, deriv)
 

@@ -3,6 +3,7 @@ import pytest
 
 from contactflow import geometry
 from contactflow.bracket import (
+    DROP_TOL,
     ad_invariance_residual,
     basis_function,
     basis_index,
@@ -13,6 +14,7 @@ from contactflow.bracket import (
     structure_constants,
     verify_homomorphism,
 )
+from contactflow.curvature import k_structural
 from contactflow.harmonics import SpectralFunction, inner_M, product
 
 
@@ -110,17 +112,42 @@ def test_structure_constants_frozen_value():
 
 
 def test_structure_constants_match_bracket_pairing():
-    table = structure_constants(2)
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        j, k = rng.integers(1, basis_size(2), size=2)
-        if j == k:
-            continue
-        b = lagrange_bracket(basis_function(int(j)), basis_function(int(k)))
-        for i in range(basis_size(2)):
-            got = table.coefficient(i, int(j), int(k))
-            want = inner_M(b, basis_function(i))
-            assert abs(got - want) < 1e-12
+    # every pair at L <= 4 against its own bracket: the same (i, j, k) rows
+    # above DROP_TOL, in iter_rows order, and the same values
+    for L in range(1, 5):
+        want = []
+        for j in range(basis_size(L)):
+            for k in range(j + 1, basis_size(L)):
+                b = lagrange_bracket(basis_function(j), basis_function(k))
+                for i in range(1, basis_size(b.L)):
+                    c = inner_M(b, basis_function(i))
+                    if abs(c) > DROP_TOL:
+                        want.append((i, j, k, c))
+        table = structure_constants(L)
+        got = list(table.iter_rows())
+        assert [r[:3] for r in got] == [r[:3] for r in want]
+        assert max(abs(g[3] - w[3]) for g, w in zip(got, want)) < 1e-12
+        for i, j, k, c in want[::7]:
+            assert abs(table.coefficient(i, j, k) - c) < 1e-12
+            assert abs(table.coefficient(i, k, j) + c) < 1e-12
+
+
+def test_structure_constants_keep_the_selection_rule():
+    rows = np.array([r[:3] for r in structure_constants(8).iter_rows()])
+    deg = np.floor(np.sqrt(rows))        # degrees of i, j, k
+    assert len(rows) > 0 and np.all(deg[:, 0] >= 1)
+    assert np.all(deg[:, 0] <= deg[:, 1] + deg[:, 2])
+
+
+def test_lookups_reject_a_pair_beyond_the_table():
+    table = structure_constants(1)
+    for j, k in [(1, 8), (8, 1), (4, 4), (-1, 2)]:
+        with pytest.raises(ValueError):
+            table.coefficient(3, j, k)
+        with pytest.raises(ValueError):
+            table.row(j, k)
+        with pytest.raises(ValueError):
+            k_structural(table, j, k)
 
 
 def test_degree_zero_rows_are_empty():
