@@ -149,14 +149,6 @@ class FrameField:
         c3 = u3 + w2
         return av[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
 
-    def component_callable(self, axis):
-        """Scalar callable q -> g(X(q), v_axis(q)), for finite-difference work."""
-
-        def comp(q):
-            return geometry.frame_components(q, self.evaluate(q))[..., axis]
-
-        return comp
-
     # -- differential structure -------------------------------------------------
 
     def divergence(self):

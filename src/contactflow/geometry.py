@@ -202,46 +202,54 @@ def _pullback(f):
     return f.pullback if hasattr(f, "pullback") else f
 
 
+def _stencil(F, pts, weights):
+    """sum_k weights[k] F(pts[k]) over the leading stencil axis of pts, added
+    in offset order, so a point's value does not depend on its batch."""
+    return sum(w * v for w, v in zip(weights, F(pts)))
+
+
 def _frame_stencil(f, axis, p, step, weights, order):
     speed = 1.0 if axis == 0 else SQRT2
-    pts = quat_circle(np.asarray(p, dtype=float), axis,
-                      _FD_OFFSETS * step / speed)
-    return float(np.dot(weights, _pullback(f)(pts))) / step ** order
+    p = np.asarray(p, dtype=float)
+    t = (_FD_OFFSETS * step / speed).reshape((-1,) + (1,) * (p.ndim - 1))
+    return _stencil(_pullback(f), quat_circle(p, axis, t), weights) / step ** order
 
 
 def frame_derivative(f, axis, p, step=FD_STEP):
-    """Derivative of a scalar function along the unit frame field v_axis at p.
+    """Derivative of f along the unit frame field v_axis at points p (..., 4).
 
-    f may be any callable taking quaternions (..., 4) -> values; axis is
-    0, 1, 2 for v1 = xi, v2, v3.  Eighth-order central differences along the
-    exact circle p * exp(t i_hat / speed), where v2, v3 have speed sqrt(2).
+    f may be any callable taking quaternions (..., 4) -> values; the result
+    has p's batch shape, then f's value shape (a scalar for one point (4,)
+    and scalar f).  axis is 0, 1, 2 for v1 = xi, v2, v3.  Eighth-order central
+    differences along the exact circle p * exp(t i_hat / speed), where v2, v3
+    have speed sqrt(2).
     """
     return _frame_stencil(f, axis, p, step, _FD1_W, 1)
 
 
 def frame_second_derivative(f, axis, p, step=FD_STEP):
-    """Second derivative along v_axis (same stencil conventions as above)."""
+    """Second derivative along v_axis (same stencil and batch conventions)."""
     return _frame_stencil(f, axis, p, step, _FD2_W, 2)
 
 
 def _circle_derivative(F, q, v, step):
-    """Derivative of F at q along tangent v: the first-difference stencil on
-    the great circle toward v (zero, shaped like F(q), when v = 0)."""
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return np.zeros_like(F(q))
-    ts = _FD_OFFSETS * step
-    pts = np.cos(ts)[:, None] * q + np.sin(ts)[:, None] * (v / nv)
-    return _FD1_W @ F(pts) / step * nv
+    """Derivative of F at points q along tangents v (..., 4), on the great
+    circle toward v; a zero tangent gets a zero direction and derivative 0."""
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v, axis=-1)
+    u = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0)
+    ts = (_FD_OFFSETS * step).reshape((-1,) + (1,) * v.ndim)
+    d = _stencil(F, np.cos(ts) * q + np.sin(ts) * u, _FD1_W) / step
+    return d * nv.reshape(nv.shape + (1,) * (d.ndim - nv.ndim))
 
 
 def directional_derivative(f, q, v, step=FD_STEP):
-    """Derivative of f at q along tangent v, via the great circle toward v."""
-    return float(_circle_derivative(_pullback(f), q, v, step))
+    """Derivative of f at points q along tangents v (..., 4), via great circles."""
+    return _circle_derivative(_pullback(f), q, v, step)
 
 
 def lie_bracket_fd(X, Y, q, step=FD_STEP):
-    """[X, Y](q) for ambient-valued tangent fields, by central differences.
+    """[X, Y] at points q (..., 4) of tangent fields, by central differences.
 
     X, Y: callables (..., 4) -> (..., 4) returning tangent vectors.
     """

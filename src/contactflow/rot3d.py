@@ -9,9 +9,9 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
   * contact_curl(f) / curl_inverse_contact(f): closed forms on contact
     fields, rot X_f = (f - Delta f) xi + phi grad f and its right inverse
     rot^-1 X_f = -f xi + 2 phi grad(Delta^-1 f);
-  * curl_fd(X, points): a pointwise finite-difference oracle built only on
-    frame derivatives of the metric components, sharing no code with the
-    spectral path.
+  * curl_fd(X, points): a finite-difference oracle built only on frame
+    derivatives of the metric components at a batch of points (..., 4),
+    sharing no code with the spectral path.
 
 The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
@@ -70,41 +70,39 @@ def curl_inverse_contact(f):
     return FrameField(-1.0 * f, 0.0, 2.0 * f.inverse_laplacian())
 
 
+def _frame_components(X):
+    """q -> the metric components g(X(q), v_i(q)), i = 1..3, stacked last."""
+    return lambda q: geometry.frame_components(q, X.evaluate(q))
+
+
 def curl_fd(X, points, step=geometry.FD_STEP):
-    """Finite-difference curl oracle at quaternion points, ambient values.
+    """Finite-difference curl oracle at quaternion points (..., 4), ambient values.
 
     Uses only the frame formulas
         (rot X)_1 = x_1 - (v2 x_3 - v3 x_2)
         (rot X)_2 = 2 x_2 - (v3 x_1 - v1 x_3)
         (rot X)_3 = 2 x_3 - (v1 x_2 - v2 x_1)
-    on the metric components x_i = g(X, v_i).
+    on the metric components x_i = g(X, v_i), one stencil call per axis v_i.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    comps = [X.component_callable(i) for i in range(3)]
-    out = np.zeros_like(points)
-    for n, q in enumerate(points):
-        d = np.array([[geometry.frame_derivative(comps[j], i, q, step=step)
-                       for j in range(3)] for i in range(3)])
-        x = np.array([comps[j](q[None])[0] for j in range(3)])
-        c1 = x[0] - (d[1, 2] - d[2, 1])
-        c2 = 2.0 * x[1] - (d[2, 0] - d[0, 2])
-        c3 = 2.0 * x[2] - (d[0, 1] - d[1, 0])
-        v1, v2, v3 = geometry.unit_frame(q)
-        out[n] = c1 * v1 + c2 * v2 + c3 * v3
-    return out
+    comps = _frame_components(X)
+    d = [geometry.frame_derivative(comps, i, points, step=step) for i in range(3)]
+    x = comps(points)
+    c1 = x[..., 0] - (d[1][..., 2] - d[2][..., 1])
+    c2 = 2.0 * x[..., 1] - (d[2][..., 0] - d[0][..., 2])
+    c3 = 2.0 * x[..., 2] - (d[0][..., 1] - d[1][..., 0])
+    return geometry.from_frame_components(points, np.stack([c1, c2, c3], axis=-1))
 
 
 def divergence_fd(X, points, step=geometry.FD_STEP):
-    """Finite-difference divergence oracle: div X = sum_i v_i(x_i).
+    """Finite-difference divergence oracle at points (..., 4): div X = sum_i v_i(x_i).
 
     The unit frame is divergence-free (unimodularity), so no frame terms.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    comps = [X.component_callable(i) for i in range(3)]
-    return np.array([
-        sum(geometry.frame_derivative(comps[i], i, q, step=step) for i in range(3))
-        for q in points
-    ])
+    comps = _frame_components(X)
+    return sum(geometry.frame_derivative(comps, i, points, step=step)[..., i]
+               for i in range(3))
 
 
 def dmu_inner(f, h):
@@ -132,14 +130,15 @@ def dmu_inner(f, h):
 # verification suite
 
 def _ambient_residual(X, Y, points):
-    return float(np.max(np.linalg.norm(X.evaluate(points) - Y.evaluate(points),
-                                       axis=-1)))
+    return float(np.max(np.linalg.norm((X - Y).evaluate(points), axis=-1)))
 
 
 def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     """Run the curl identity suite; a list of named residual checks."""
     from .metrics import biinvariant_inner
 
+    if min(L, n_pairs, n_points) < 1:
+        raise ValueError("rot_report needs L, n_pairs and n_points >= 1")
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_points, 4))
     pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)

@@ -3,7 +3,7 @@ site; a renamed or deleted target would otherwise only show up as a
 crashed traced benchmark run.  Its call-site check also counts grid
 builds against brackets, which only holds while every bracket still
 constructs its grid.  The same spans count Legendre table builds per
-scattered point set."""
+scattered point set, including the finite-difference oracles' stencils."""
 
 import sys
 from pathlib import Path
@@ -13,6 +13,7 @@ import numpy as np
 from contactflow import flow
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
+from contactflow.rot3d import curl_fd, curl_inverse_contact, divergence_fd
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,3 +65,13 @@ def test_one_legendre_build_per_point_set():
     assert traced_calls(lambda: X.evaluate(q))["harmonics.legendre_tables"] == 1
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
+    # the finite-difference oracles: one field evaluation per stencil call
+    # (one per frame axis), and curl_fd one more at the points themselves
+    pts = rng.standard_normal((8, 4))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    Y = curl_inverse_contact(u.mean_free())
+    calls = traced_calls(lambda: divergence_fd(Y, pts))
+    assert calls["harmonics.legendre_tables"] == 3
+    assert calls["geometry.frame_derivative"] == 3
+    calls = traced_calls(lambda: curl_fd(X, pts))
+    assert calls["harmonics.legendre_tables"] == 4

@@ -72,6 +72,9 @@ def test_homomorphism_fd_residual():
         h = SpectralFunction.random(2, rng)
         worst = max(worst, verify_homomorphism(f, h, n_points=4, seed=11))
     assert worst < 1e-6
+    f = SpectralFunction.random(2, rng)
+    with pytest.raises(ValueError, match="n_points >= 1"):
+        verify_homomorphism(f, f, n_points=0)
 
 
 def test_jacobi_identity():

@@ -1,11 +1,17 @@
-import numpy as np
+from functools import partial
 
+import numpy as np
+import pytest
+
+from contactflow.fields import contact_field_at
 from contactflow.geometry import (
     QuadratureS3,
     VOL_S3,
+    directional_derivative,
     dtheta_form,
     frame_components,
     frame_derivative,
+    frame_second_derivative,
     hodge_star_1form,
     hodge_star_2form,
     lie_bracket_fd,
@@ -15,6 +21,7 @@ from contactflow.geometry import (
     unit_frame,
     verify_axioms,
 )
+from contactflow.harmonics import SpectralFunction
 
 
 def unit_points(rng, n):
@@ -133,3 +140,46 @@ def test_unit_frame_bracket_relations():
     assert np.max(np.abs(b23 - v1)) < 1e-9
     assert np.max(np.abs(b31 - 2.0 * v2)) < 1e-9
 
+
+def test_stencils_take_point_batches():
+    # a (6, 4) batch gives each point's single-point value; one point (4,)
+    # gives a scalar (a (4,) vector for the bracket)
+    rng = np.random.default_rng(9)
+    q = unit_points(rng, 6)
+    f = SpectralFunction.random(3, rng)
+    h = SpectralFunction.random(2, rng)
+    v = rng.standard_normal(q.shape)
+    v -= np.sum(v * q, axis=-1, keepdims=True) * q
+    for deriv in (frame_derivative, frame_second_derivative):
+        for axis in range(3):
+            got = deriv(f, axis, q)
+            assert got.shape == (6,) and np.shape(deriv(f, axis, q[0])) == ()
+            assert np.max(np.abs(got - [deriv(f, axis, p) for p in q])) < 1e-13
+    got = directional_derivative(f, q, v)
+    assert got.shape == (6,) and np.shape(directional_derivative(f, q[0], v[0])) == ()
+    want = [directional_derivative(f, p, t) for p, t in zip(q, v)]
+    assert np.max(np.abs(got - want)) < 1e-13
+    X, Y = partial(contact_field_at, f), partial(contact_field_at, h)
+    got = lie_bracket_fd(X, Y, q)
+    assert got.shape == (6, 4) and lie_bracket_fd(X, Y, q[0]).shape == (4,)
+    assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_tangent_in_a_batch_gives_zero():
+    # X and Y both vanish at q[2], so [X, Y](q[2]) = 0: both circle
+    # derivatives there run along a zero tangent
+    rng = np.random.default_rng(10)
+    q = unit_points(rng, 6)
+    f = SpectralFunction.random(3, rng)
+    v = unit_frame(q)[1]
+    v[2] = 0.0
+    got = directional_derivative(f, q, v)
+    assert got[2] == 0.0 and np.all(np.isfinite(got))
+    assert np.all(got[[0, 1, 3, 4, 5]] != 0.0)
+    s = lambda p: np.asarray(p)[..., :1] - q[2, 0]
+    X = lambda p: s(p) * unit_frame(p)[1]
+    Y = lambda p: s(p) * unit_frame(p)[2]
+    got = lie_bracket_fd(X, Y, q)
+    assert np.all(np.isfinite(got)) and np.all(got[2] == 0.0)
+    assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13

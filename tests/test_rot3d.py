@@ -115,3 +115,12 @@ def test_report_all_pass():
     for check in rep:
         assert check["passed"], check
         assert check["max_residual"] < check["tolerance"]
+
+
+@pytest.mark.parametrize("kwargs", [{"L": 0}, {"n_pairs": 0}, {"n_points": 0},
+                                    {"L": -1, "n_pairs": -5}])
+def test_report_rejects_empty_samples(kwargs):
+    # at L = 0 no mean-zero Hamiltonian is nonzero, so the pairing sampler
+    # would never finish; with no pairs or points a check checks nothing
+    with pytest.raises(ValueError, match="rot_report needs"):
+        rot_report(**kwargs)
