@@ -17,9 +17,12 @@ q(theta, lam) = exp(i lam/2) exp(k theta/2), on which
 
 and ambient evaluation anywhere on S^3 goes through the rotation columns
 R_i(q) = q i_hat_i conj(q):  v2 f = -sqrt2 R3 . grad_{S^2} F and
-v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f.  The potentials are
-synthesized as one stack per tag, and every value and derivative needed
-at a point set comes from one Legendre table build.
+v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f, with the angles of
+pi(q) read off R1.  The potentials are synthesized as one stack per tag.
+One private routine assembles ambient values for any number of fields at
+one point set, every value and derivative from one Legendre table build;
+FrameField.evaluate and contact_field_at are one-field calls of it, and a
+pairing by quadrature evaluates both of its fields through one call.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
@@ -48,23 +51,44 @@ def _as_spectral(f):
 
 def invariant_gradient_frame(f, q):
     """(v2 f, v3 f) at S^3 points for a Reeb-invariant f."""
-    _, (v2f,), (v3f,) = _frame_data(q, f, f)
+    ((_, v2f, v3f),) = _frame_data(q, [FrameField.gradient(f)])
     return v2f, v3f
 
 
-def _frame_data(q, a, *potentials):
-    """a, and (v2 f, v3 f) stacked over the potentials f, at S^3 points from
+def _frame_data(q, fields):
+    """Unit-frame components (c1, c2, c3) of each field at S^3 points, from
     one Legendre table build, via the global rotation-column identities."""
-    theta, lam = geometry.hopf_angles(q)
-    derivs = [(f, t) for f in potentials for t in ("dtheta", "dlambda_over_sin")]
-    av, *d = _evaluate_at([(a, None)] + derivs, theta, lam)
+    r1, r2, r3 = geometry.rotation_columns(q)
+    theta, lam = geometry._sphere_angles(r1)
+    pairs = []
+    for X in fields:
+        pairs += [(X.a, None)] + [(f, t) for f in (X.u, X.w)
+                                  for t in ("dtheta", "dlambda_over_sin")]
+    values = _evaluate_at(pairs, theta, lam)
     st, ct = np.sin(theta), np.cos(theta)
     sl, cl = np.sin(lam), np.cos(lam)
     e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
     e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
-    grad = np.stack(d[::2])[..., None] * e_th + np.stack(d[1::2])[..., None] * e_lm
-    _, r2, r3 = geometry.rotation_columns(q)
-    return av, -SQRT2 * np.sum(r3 * grad, axis=-1), SQRT2 * np.sum(r2 * grad, axis=-1)
+
+    def v23(d_theta, d_lam):
+        grad = d_theta[..., None] * e_th + d_lam[..., None] * e_lm
+        return -SQRT2 * np.sum(r3 * grad, axis=-1), SQRT2 * np.sum(r2 * grad, axis=-1)
+
+    out = []
+    for i in range(0, len(values), 5):
+        av, u_th, u_lm, w_th, w_lm = values[i:i + 5]
+        (u2, u3), (w2, w3) = v23(u_th, u_lm), v23(w_th, w_lm)
+        out.append((av, u2 - w3, u3 + w2))
+    return out
+
+
+def _fields_at(q, fields):
+    """Ambient R^4 values of several fields at one set of S^3 points (..., 4),
+    from one Legendre table build."""
+    q = np.asarray(q, dtype=float)
+    v1, v2, v3 = geometry.unit_frame(q)
+    return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
+            for c1, c2, c3 in _frame_data(q, fields)]
 
 
 class FrameField:
@@ -142,12 +166,7 @@ class FrameField:
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4)."""
-        q = np.asarray(q, dtype=float)
-        v1, v2, v3 = geometry.unit_frame(q)
-        av, (u2, w2), (u3, w3) = _frame_data(q, self.a, self.u, self.w)
-        c2 = u2 - w3
-        c3 = u3 + w2
-        return av[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
+        return _fields_at(q, [self])[0]
 
     # -- differential structure -------------------------------------------------
 
@@ -175,8 +194,5 @@ def contact_field(f):
 
 
 def contact_field_at(f, q):
-    """Ambient values of X_f without building a FrameField."""
-    q = np.asarray(q, dtype=float)
-    v1, v2, v3 = geometry.unit_frame(q)
-    fv, (v2f,), (v3f,) = _frame_data(q, f, f)
-    return fv[..., None] * v1 + v3f[..., None] * v2 - v2f[..., None] * v3
+    """Ambient values of X_f at S^3 points (..., 4)."""
+    return _fields_at(q, [FrameField.contact(f)])[0]

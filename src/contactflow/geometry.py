@@ -81,7 +81,11 @@ def hopf_point(q):
 
 def hopf_angles(q):
     """Colatitude/longitude of pi(q), pole on the first axis."""
-    x = hopf_point(q)
+    return _sphere_angles(hopf_point(q))
+
+
+def _sphere_angles(x):
+    """Colatitude/longitude of points x (..., 3) of S^2, pole on the first axis."""
     theta = np.arccos(np.clip(x[..., 0], -1.0, 1.0))
     lam = np.arctan2(x[..., 2], x[..., 1])
     return theta, lam

@@ -27,7 +27,9 @@ l < m, so the sum over l is one batched product over all orders.  Leading
 axes are batch axes: synthesize takes a stack of coefficient arrays and
 adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
 its own call.  Scattered evaluation of several (function, tag) pairs at
-one point set shares one Legendre table build.
+one point set shares one Legendre table build, whether the pairs belong to
+one function, one field or several fields at the same nodes.  A build
+loops over degree and updates all orders at once: O(L) Python steps.
 
 A grid is a view of a shared Gauss-Legendre plan, one per nlat in a
 fixed-size cache: nodes, weights and Legendre tables are computed once per
@@ -58,6 +60,12 @@ def legendre_tables(x, L):
     Q[l, m] = Pbar_lm / sin(theta) for m >= 1 (identically zero at m = 0).
     All three use division-free recurrences, so the tables are finite at
     the poles.
+
+    The diagonal m = l is a loop over orders; the sub-diagonal m = l - 1
+    is one vectorized step, and the three-term recurrence in l is a loop
+    over degrees that updates all orders m <= l - 2 at once.  Every element
+    gets the same floating-point operations as an (l, m) loop would give
+    it, in O(L) Python steps.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -75,18 +83,19 @@ def legendre_tables(x, L):
             Q[1, 1] = np.sqrt(3.0) / 2.0
         else:
             Q[m, m] = cmm * s * Q[m - 1, m - 1]
-    for m in range(0, L + 1):
-        if m + 1 <= L:
-            c = np.sqrt(2.0 * m + 3.0)
-            P[m + 1, m] = c * x * P[m, m]
-            dP[m + 1, m] = c * (-s * P[m, m] + x * dP[m, m])
-            Q[m + 1, m] = c * x * Q[m, m]
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
-            dP[l, m] = a * (-s * P[l - 1, m] + x * dP[l - 1, m] - b * dP[l - 2, m])
-            Q[l, m] = a * (x * Q[l - 1, m] - b * Q[l - 2, m])
+    m = np.arange(L)
+    c = np.sqrt(2.0 * m + 3.0)[:, None]
+    P[m + 1, m] = c * x * P[m, m]
+    dP[m + 1, m] = c * (-s * P[m, m] + x * dP[m, m])
+    Q[m + 1, m] = c * x * Q[m, m]
+    for l in range(2, L + 1):
+        m = np.arange(l - 1)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        P[l, : l - 1] = a * (x * P[l - 1, : l - 1] - b * P[l - 2, : l - 1])
+        dP[l, : l - 1] = a * (-s * P[l - 1, : l - 1] + x * dP[l - 1, : l - 1]
+                              - b * dP[l - 2, : l - 1])
+        Q[l, : l - 1] = a * (x * Q[l - 1, : l - 1] - b * Q[l - 2, : l - 1])
     return P, dP, Q
 
 

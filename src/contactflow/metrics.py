@@ -18,8 +18,8 @@ import enum
 import numpy as np
 
 from . import geometry
-from .fields import contact_field_at
-from .harmonics import inner_M
+from .fields import _fields_at, contact_field
+from .harmonics import _evaluate_at, inner_M
 
 
 class MetricKind(enum.Enum):
@@ -44,12 +44,14 @@ def inner(kind, f, h, method="spectral"):
         raise ValueError("unknown method %r" % method)
     deg = f.L + h.L
     quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
+    # both operands at the nodes from one Legendre table build
     if kind is MetricKind.BI_INVARIANT:
-        vals = f.pullback(quad.nodes) * h.pullback(quad.nodes)
+        fv, hv = _evaluate_at([(f, None), (h, None)],
+                              *geometry.hopf_angles(quad.nodes))
+        vals = fv * hv
     else:
-        vals = geometry.metric(quad.nodes,
-                               contact_field_at(f, quad.nodes),
-                               contact_field_at(h, quad.nodes))
+        Xf, Xh = _fields_at(quad.nodes, [contact_field(f), contact_field(h)])
+        vals = geometry.metric(quad.nodes, Xf, Xh)
     return float(np.dot(quad.weights, vals))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, contact_field, contact_field_at
+from .fields import FrameField, _as_spectral, _fields_at, contact_field
 from .geometry import SQRT2
 from .harmonics import (
     SpectralFunction,
@@ -110,6 +110,8 @@ def dmu_inner(f, h):
 
     The Hamiltonian f splits as constant + mean-zero; the constant rides on
     the fixed point rot xi = xi, the rest through the closed-form inverse.
+    rot^-1 X_f and X_h are evaluated at the quadrature nodes from one
+    Legendre table build.
     """
     f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
@@ -121,8 +123,8 @@ def dmu_inner(f, h):
                          2.0 * f0.inverse_laplacian())
     deg = pre.degree + h.L
     quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
-    vals = geometry.metric(quad.nodes, pre.evaluate(quad.nodes),
-                           contact_field_at(h, quad.nodes))
+    Xpre, Xh = _fields_at(quad.nodes, [pre, contact_field(h)])
+    vals = geometry.metric(quad.nodes, Xpre, Xh)
     return float(np.dot(quad.weights, vals))
 
 

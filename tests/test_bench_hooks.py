@@ -3,7 +3,8 @@ site; a renamed or deleted target would otherwise only show up as a
 crashed traced benchmark run.  Its call-site check also counts grid
 builds against brackets, which only holds while every bracket still
 constructs its grid.  The same spans count Legendre table builds per
-scattered point set, including the finite-difference oracles' stencils."""
+scattered point set, also when several fields share one set (a pairing
+by quadrature) and in the finite-difference oracles' stencils."""
 
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 from contactflow import flow
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
-from contactflow.rot3d import curl_fd, curl_inverse_contact, divergence_fd
+from contactflow.metrics import MetricKind, inner
+from contactflow.rot3d import curl_fd, curl_inverse_contact, divergence_fd, dmu_inner
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,9 +64,18 @@ def test_one_legendre_build_per_point_set():
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     f, u, w = (SpectralFunction.random(L, rng) for L in (3, 5, 2))
     X = FrameField(f, u, w)
-    assert traced_calls(lambda: X.evaluate(q))["harmonics.legendre_tables"] == 1
+    calls = traced_calls(lambda: X.evaluate(q))
+    assert calls["harmonics.legendre_tables"] == 1
+    # the unit frame (3) and the rotation columns (6); pi(q) is their R1
+    assert calls["geometry.qmul"] == 9
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
+    # two fields at one set of quadrature nodes share the build
+    calls = traced_calls(lambda: dmu_inner(f.mean_free(), u.mean_free()))
+    assert calls["harmonics.legendre_tables"] == 1
+    for kind in MetricKind:
+        calls = traced_calls(lambda: inner(kind, f, u, method="quadrature"))
+        assert calls["harmonics.legendre_tables"] == 1
     # the finite-difference oracles: one field evaluation per stencil call
     # (one per frame axis), and curl_fd one more at the points themselves
     pts = rng.standard_normal((8, 4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contactflow import geometry, harmonics
 from contactflow.harmonics import (
@@ -143,6 +145,54 @@ def test_plan_tables_match_a_fresh_build_whatever_came_first():
         want = legendre_tables(grid.x, L)
         for name, w in zip(("P", "dP", "Q"), want):
             assert np.array_equal(grid.tables(L)[name], w)
+
+
+def _legendre_tables_by_mode(x, L):
+    """The per-(l, m) loop legendre_tables used before its O(L) recurrence,
+    kept verbatim as a bit-for-bit oracle."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    P = np.zeros((L + 1, L + 1, n))
+    dP = np.zeros((L + 1, L + 1, n))
+    Q = np.zeros((L + 1, L + 1, n))
+
+    P[0, 0] = 1.0 / np.sqrt(2.0)
+    for m in range(1, L + 1):
+        cmm = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
+        P[m, m] = cmm * s * P[m - 1, m - 1]
+        dP[m, m] = cmm * (x * P[m - 1, m - 1] + s * dP[m - 1, m - 1])
+        if m == 1:
+            Q[1, 1] = np.sqrt(3.0) / 2.0
+        else:
+            Q[m, m] = cmm * s * Q[m - 1, m - 1]
+    for m in range(0, L + 1):
+        if m + 1 <= L:
+            c = np.sqrt(2.0 * m + 3.0)
+            P[m + 1, m] = c * x * P[m, m]
+            dP[m + 1, m] = c * (-s * P[m, m] + x * dP[m, m])
+            Q[m + 1, m] = c * x * Q[m, m]
+        for l in range(m + 2, L + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
+            dP[l, m] = a * (-s * P[l - 1, m] + x * dP[l - 1, m] - b * dP[l - 2, m])
+            Q[l, m] = a * (x * Q[l - 1, m] - b * Q[l - 2, m])
+    return P, dP, Q
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=st.integers(0, 40),
+       x=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=50),
+       poles=st.booleans())
+@example(L=0, x=[0.5], poles=True)
+@example(L=40, x=[0.0, 0.3, -0.7], poles=True)
+def test_legendre_recurrence_matches_the_mode_loop(L, x, poles):
+    x = np.array(x)
+    if poles:
+        x[0], x[-1] = 1.0, -1.0
+    for got, want in zip(legendre_tables(x, L), _legendre_tables_by_mode(x, L)):
+        assert np.array_equal(got, want)
 
 
 def test_plan_cache_is_bounded():
