@@ -19,15 +19,21 @@ and ambient evaluation anywhere on S^3 goes through the rotation columns
 R_i(q) = q i_hat_i conj(q):  v2 f = -sqrt2 R3 . grad_{S^2} F and
 v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f, with the angles of
 pi(q) read off R1.  The potentials are synthesized as one stack per tag.
-One private routine assembles ambient values for any number of fields at
-one point set, every value and derivative from one Legendre table build;
-FrameField.evaluate and contact_field_at are one-field calls of it, and a
-pairing by quadrature evaluates both of its fields through one call.
+A node plan prepares one set of S^3 points: the point plan of pi(q), the
+unit frame and the rotation columns from one set of products q i, q j,
+q k, and e_theta, e_lambda at pi(q).  It then assembles ambient values of
+any number of fields, every value and derivative from one Legendre table
+build; a degree-0 u or w has zero derivatives and is not evaluated.
+FrameField.evaluate and contact_field_at build a plan per call.  The S^3
+quadrature of a pairing and its node plan are built once per quadrature
+degree and cached read-only, so a pairing evaluates only its two fields.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,7 +42,8 @@ from .geometry import SQRT2
 from .harmonics import (
     GridFunction,
     SpectralFunction,
-    _evaluate_at,
+    _frozen,
+    _PointPlan,
     adjoint_analyze,
     analyze,
     synthesize,
@@ -55,40 +62,76 @@ def invariant_gradient_frame(f, q):
     return v2f, v3f
 
 
+class _NodePlan:
+    """S^3 points q (..., 4) prepared for field evaluation: the point plan
+    of pi(q), the unit frame, the rotation columns R2, R3 and the spherical
+    unit vectors e_theta, e_lambda at pi(q).  Only the fields change between
+    evaluations on one plan; every array is read-only."""
+
+    def __init__(self, q):
+        self.frame, (r1, self.r2, self.r3) = geometry._frame_and_columns(q)
+        theta, lam = geometry._sphere_angles(r1)
+        self.points = _PointPlan(theta, lam)
+        st, ct = np.sin(theta), np.cos(theta)
+        sl, cl = np.sin(lam), np.cos(lam)
+        self.e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
+        self.e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
+        self.zero = np.zeros(theta.shape)
+        for a in (*self.frame, self.r2, self.r3, self.e_th, self.e_lm, self.zero):
+            _frozen(a)
+
+    def _v23(self, f, values):
+        """(v2 f, v3 f) of a potential from its next two derivative values;
+        zero for degree 0, whose derivatives vanish and are not evaluated."""
+        if f.L == 0:
+            return self.zero, self.zero
+        d_theta, d_lam = next(values), next(values)
+        grad = d_theta[..., None] * self.e_th + d_lam[..., None] * self.e_lm
+        return (-SQRT2 * np.sum(self.r3 * grad, axis=-1),
+                SQRT2 * np.sum(self.r2 * grad, axis=-1))
+
+    def components(self, fields):
+        """Unit-frame components (c1, c2, c3) of each field, via the global
+        rotation-column identities, from one Legendre table build."""
+        pairs = []
+        for X in fields:
+            pairs += [(X.a, None)] + [(f, t) for f in (X.u, X.w) if f.L > 0
+                                      for t in ("dtheta", "dlambda_over_sin")]
+        values = iter(self.points.evaluate(pairs))
+        out = []
+        for X in fields:
+            av = next(values)
+            (u2, u3), (w2, w3) = self._v23(X.u, values), self._v23(X.w, values)
+            out.append((av, u2 - w3, u3 + w2))
+        return out
+
+    def ambient(self, fields):
+        """Ambient R^4 values of each field at the points."""
+        v1, v2, v3 = self.frame
+        return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
+                for c1, c2, c3 in self.components(fields)]
+
+
 def _frame_data(q, fields):
-    """Unit-frame components (c1, c2, c3) of each field at S^3 points, from
-    one Legendre table build, via the global rotation-column identities."""
-    r1, r2, r3 = geometry.rotation_columns(q)
-    theta, lam = geometry._sphere_angles(r1)
-    pairs = []
-    for X in fields:
-        pairs += [(X.a, None)] + [(f, t) for f in (X.u, X.w)
-                                  for t in ("dtheta", "dlambda_over_sin")]
-    values = _evaluate_at(pairs, theta, lam)
-    st, ct = np.sin(theta), np.cos(theta)
-    sl, cl = np.sin(lam), np.cos(lam)
-    e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
-    e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
-
-    def v23(d_theta, d_lam):
-        grad = d_theta[..., None] * e_th + d_lam[..., None] * e_lm
-        return -SQRT2 * np.sum(r3 * grad, axis=-1), SQRT2 * np.sum(r2 * grad, axis=-1)
-
-    out = []
-    for i in range(0, len(values), 5):
-        av, u_th, u_lm, w_th, w_lm = values[i:i + 5]
-        (u2, u3), (w2, w3) = v23(u_th, u_lm), v23(w_th, w_lm)
-        out.append((av, u2 - w3, u3 + w2))
-    return out
+    """Unit-frame components (c1, c2, c3) of several fields at one set of
+    S^3 points, from one Legendre table build."""
+    return _NodePlan(q).components(fields)
 
 
 def _fields_at(q, fields):
     """Ambient R^4 values of several fields at one set of S^3 points (..., 4),
     from one Legendre table build."""
-    q = np.asarray(q, dtype=float)
-    v1, v2, v3 = geometry.unit_frame(q)
-    return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
-            for c1, c2, c3 in _frame_data(q, fields)]
+    return _NodePlan(q).ambient(fields)
+
+
+@functools.lru_cache(maxsize=8)
+def _quadrature(deg):
+    """(QuadratureS3, its node plan) integrating degree-deg pairings of
+    invariant fields exactly; built once per degree, read-only, shared."""
+    quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
+    _frozen(quad.nodes)
+    _frozen(quad.weights)
+    return quad, _NodePlan(quad.nodes)
 
 
 class FrameField:

@@ -104,27 +104,35 @@ def section_lift(theta, lam):
     return qmul(a, b)
 
 
+def _right_products(q):
+    """(q i, q j, q k): the products the unit frame and the rotation
+    columns are both made of."""
+    q = np.asarray(q, dtype=float)
+    return tuple(qmul(q, np.broadcast_to(e, q.shape)) for e in _IMAG)
+
+
+def _frame_and_columns(q):
+    """(unit_frame(q), rotation_columns(q)) from one set of right products."""
+    q = np.asarray(q, dtype=float)
+    qi, qj, qk = products = _right_products(q)
+    qc = qconj(q)
+    return ((qi, qj / SQRT2, qk / SQRT2),
+            tuple(qmul(p, qc)[..., 1:] for p in products))
+
+
 def rotation_columns(q):
     """Columns (R1, R2, R3) of the rotation v -> q v conj(q) on Im H = R^3.
 
     R1 = pi(q); on the section lift R2, R3 are the spherical unit vectors
     e_theta, e_lambda at pi(q).
     """
-    q = np.asarray(q, dtype=float)
-    qc = qconj(q)
-    r1 = qmul(qmul(q, np.broadcast_to(_IQ, q.shape)), qc)[..., 1:]
-    r2 = qmul(qmul(q, np.broadcast_to(_JQ, q.shape)), qc)[..., 1:]
-    r3 = qmul(qmul(q, np.broadcast_to(_KQ, q.shape)), qc)[..., 1:]
-    return r1, r2, r3
+    return _frame_and_columns(q)[1]
 
 
 def unit_frame(q):
     """g-orthonormal frame (v1, v2, v3) = (q i, q j / sqrt2, q k / sqrt2)."""
-    q = np.asarray(q, dtype=float)
-    v1 = qmul(q, np.broadcast_to(_IQ, q.shape))
-    v2 = qmul(q, np.broadcast_to(_JQ, q.shape)) / SQRT2
-    v3 = qmul(q, np.broadcast_to(_KQ, q.shape)) / SQRT2
-    return v1, v2, v3
+    qi, qj, qk = _right_products(q)
+    return qi, qj / SQRT2, qk / SQRT2
 
 
 def theta_form(q, v):

@@ -26,10 +26,14 @@ identity for the function and d/dtheta, the rotation
 l < m, so the sum over l is one batched product over all orders.  Leading
 axes are batch axes: synthesize takes a stack of coefficient arrays and
 adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
-its own call.  Scattered evaluation of several (function, tag) pairs at
-one point set shares one Legendre table build, whether the pairs belong to
-one function, one field or several fields at the same nodes.  A build
-loops over degree and updates all orders at once: O(L) Python steps.
+its own call.  The per-order maps are built once per (tag, degree) and
+shared read-only.  Scattered evaluation runs in two steps: a point plan
+prepares one set of points (x = cos theta, the cos/sin(m lam) rows and the
+Legendre tables, grown to the largest degree asked and sliced below it),
+then evaluates any number of (function, tag) pairs on it.  A one-shot
+point set builds its plan per call; a plan kept for fixed nodes, such as
+a quadrature's, builds its tables once.  A build loops over degree and
+updates all orders at once: O(L) Python steps.
 
 A grid is a view of a shared Gauss-Legendre plan, one per nlat in a
 fixed-size cache: nodes, weights and Legendre tables are computed once per
@@ -402,18 +406,23 @@ _DERIVS = {None: ("P", 1.0, 0.0), "dtheta": ("dP", 1.0, 0.0),
 
 
 def _symbol(deriv, L):
-    """Table name and per-order 2x2 map of a tag on (a_m, b_m), normalized."""
-    try:
-        name, c, d = _DERIVS[deriv]
-    except KeyError:
-        raise ValueError("unknown derivative tag %r" % (deriv,)) from None
+    """Table name and per-order 2x2 map of a tag on (a_m, b_m), normalized;
+    the map is read-only and shared per (tag, degree)."""
+    if deriv not in _DERIVS:
+        raise ValueError("unknown derivative tag %r" % (deriv,))
+    return _symbol_of(deriv, L)
+
+
+@functools.lru_cache(maxsize=128)
+def _symbol_of(deriv, L):
+    name, c, d = _DERIVS[deriv]
     dm = d * np.arange(L + 1)
     R = np.empty((L + 1, 2, 2))
     R[:, 0, 0] = R[:, 1, 1] = c
     R[:, 0, 1], R[:, 1, 0] = dm, -dm
     R[0] /= SQRT_2PI
     R[1:] /= SQRT_PI
-    return name, R
+    return name, _frozen(R)
 
 
 def _forward(coeffs, table, R):
@@ -435,21 +444,49 @@ def _adjoint(ab, table, R):
     return coeffs
 
 
+class _PointPlan:
+    """Scattered points (theta, lam) prepared for evaluation: x = cos(theta),
+    the cos(m lam) and sin(m lam) rows and the Legendre tables at x.
+
+    Rows and tables grow to the largest degree asked and are sliced for
+    smaller ones, as in _GaussPlan, so a plan kept for many evaluations
+    builds its tables once; every array is read-only.
+    """
+
+    def __init__(self, theta, lam):
+        theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
+        self.shape = theta.shape
+        self.x = _frozen(np.cos(theta.ravel()))
+        self.lam = _frozen(lam.ravel())
+        self._built = (-1, {})    # (degree, rows and tables), replaced as one value
+
+    def _data(self, L):
+        built, data = self._built
+        if L > built:
+            m_lam = np.arange(L + 1)[:, None] * self.lam
+            data = dict(zip(("P", "dP", "Q", "cos", "sin"),
+                            map(_frozen, (*legendre_tables(self.x, L),
+                                          np.cos(m_lam), np.sin(m_lam)))))
+            self._built = (L, data)
+        return data
+
+    def evaluate(self, pairs):
+        """Values of (function, tag) pairs at the points, shaped like theta."""
+        data = self._data(max(f.L for f, _ in pairs))
+        out = []
+        for f, deriv in pairs:
+            name, R = _symbol(deriv, f.L)
+            n = f.L + 1
+            ab = _forward(f.coeffs, data[name][:n, :n], R)
+            v = np.sum(ab[:, 0] * data["cos"][:n] + ab[:, 1] * data["sin"][:n], axis=0)
+            out.append(v.reshape(self.shape))
+        return out
+
+
 def _evaluate_at(pairs, theta, lam):
     """Values of (function, tag) pairs at one set of scattered points, from
     one Legendre table build sliced to each function's degree."""
-    theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
-    L = max(f.L for f, _ in pairs)
-    tables = dict(zip(("P", "dP", "Q"), legendre_tables(np.cos(theta.ravel()), L)))
-    m_lam = np.arange(L + 1)[:, None] * lam.ravel()
-    cos, sin = np.cos(m_lam), np.sin(m_lam)
-    out = []
-    for f, deriv in pairs:
-        name, R = _symbol(deriv, f.L)
-        n = f.L + 1
-        ab = _forward(f.coeffs, tables[name][:n, :n], R)
-        out.append(np.sum(ab[:, 0] * cos[:n] + ab[:, 1] * sin[:n], axis=0))
-    return [v.reshape(theta.shape) for v in out]
+    return _PointPlan(theta, lam).evaluate(pairs)
 
 
 def _analysis(values, grid, L, deriv):

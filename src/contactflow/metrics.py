@@ -8,7 +8,8 @@ pairing: <X_f, X_h> = int_M f h dmu.  The two are linked by
 Both metrics are implemented along two independent paths: a spectral path
 (diagonal in the eigenbasis) and a quadrature path (pointwise fields
 integrated over S^3); their agreement is one of the package's standing
-checks.
+checks.  The quadrature path takes its nodes, weights and node plan from
+the one cached quadrature per degree that dmu_inner also uses.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import enum
 import numpy as np
 
 from . import geometry
-from .fields import _fields_at, contact_field
-from .harmonics import _evaluate_at, inner_M
+from .fields import _quadrature, contact_field
+from .harmonics import inner_M
 
 
 class MetricKind(enum.Enum):
@@ -42,15 +43,13 @@ def inner(kind, f, h, method="spectral"):
         return inner_M(f, h.helmholtz())
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)
-    deg = f.L + h.L
-    quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
-    # both operands at the nodes from one Legendre table build
+    quad, nodes = _quadrature(f.L + h.L)
+    # both operands on the degree's shared node plan
     if kind is MetricKind.BI_INVARIANT:
-        fv, hv = _evaluate_at([(f, None), (h, None)],
-                              *geometry.hopf_angles(quad.nodes))
+        fv, hv = nodes.points.evaluate([(f, None), (h, None)])
         vals = fv * hv
     else:
-        Xf, Xh = _fields_at(quad.nodes, [contact_field(f), contact_field(h)])
+        Xf, Xh = nodes.ambient([contact_field(f), contact_field(h)])
         vals = geometry.metric(quad.nodes, Xf, Xh)
     return float(np.dot(quad.weights, vals))
 

@@ -16,7 +16,10 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
 The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
 flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
-point of rot, so its pairing branch returns the volume of the sphere.
+point of rot, so its pairing branch returns the volume of the sphere.  The
+pairing integrates over the one cached S^3 quadrature per degree, whose
+nodes, frame and Legendre tables are built once and shared with
+metrics.inner.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, _fields_at, contact_field
+from .fields import FrameField, _as_spectral, _quadrature, contact_field
 from .geometry import SQRT2
 from .harmonics import (
     SpectralFunction,
@@ -110,8 +113,8 @@ def dmu_inner(f, h):
 
     The Hamiltonian f splits as constant + mean-zero; the constant rides on
     the fixed point rot xi = xi, the rest through the closed-form inverse.
-    rot^-1 X_f and X_h are evaluated at the quadrature nodes from one
-    Legendre table build.
+    rot^-1 X_f and X_h are evaluated on the node plan of the cached
+    quadrature for their degree, so only the two fields are new per call.
     """
     f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
@@ -121,9 +124,8 @@ def dmu_inner(f, h):
     else:
         pre = FrameField(SpectralFunction.constant(c) - f0, 0.0,
                          2.0 * f0.inverse_laplacian())
-    deg = pre.degree + h.L
-    quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
-    Xpre, Xh = _fields_at(quad.nodes, [pre, contact_field(h)])
+    quad, nodes = _quadrature(pre.degree + h.L)
+    Xpre, Xh = nodes.ambient([pre, contact_field(h)])
     vals = geometry.metric(quad.nodes, Xpre, Xh)
     return float(np.dot(quad.weights, vals))
 

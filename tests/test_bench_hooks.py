@@ -4,14 +4,17 @@ crashed traced benchmark run.  Its call-site check also counts grid
 builds against brackets, which only holds while every bracket still
 constructs its grid.  The same spans count Legendre table builds per
 scattered point set, also when several fields share one set (a pairing
-by quadrature) and in the finite-difference oracles' stencils."""
+by quadrature) and in the finite-difference oracles' stencils, and show
+that a pairing by quadrature builds its nodes and tables once per
+degree."""
 
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from contactflow import flow
+from contactflow import fields, flow
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import MetricKind, inner
@@ -66,16 +69,22 @@ def test_one_legendre_build_per_point_set():
     X = FrameField(f, u, w)
     calls = traced_calls(lambda: X.evaluate(q))
     assert calls["harmonics.legendre_tables"] == 1
-    # the unit frame (3) and the rotation columns (6); pi(q) is their R1
-    assert calls["geometry.qmul"] == 9
+    # q i, q j, q k (3) serve the unit frame and, times conj(q), the
+    # rotation columns (3); pi(q) is their R1
+    assert calls["geometry.qmul"] == 6
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
-    # two fields at one set of quadrature nodes share the build
-    calls = traced_calls(lambda: dmu_inner(f.mean_free(), u.mean_free()))
-    assert calls["harmonics.legendre_tables"] == 1
-    for kind in MetricKind:
-        calls = traced_calls(lambda: inner(kind, f, u, method="quadrature"))
+    # two fields at one set of quadrature nodes share the build, and the
+    # nodes and their tables are built once per quadrature degree
+    pairings = [lambda: dmu_inner(f.mean_free(), u.mean_free())]
+    pairings += [partial(inner, kind, f, u, method="quadrature") for kind in MetricKind]
+    for pairing in pairings:
+        fields._quadrature.cache_clear()
+        calls = traced_calls(pairing)
         assert calls["harmonics.legendre_tables"] == 1
+        calls = traced_calls(pairing)
+        assert calls.get("harmonics.legendre_tables", 0) == 0
+        assert calls.get("geometry.QuadratureS3.build", 0) == 0
     # the finite-difference oracles: one field evaluation per stencil call
     # (one per frame axis), and curl_fd one more at the points themselves
     pts = rng.standard_normal((8, 4))

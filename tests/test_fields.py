@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from contactflow import geometry
+from contactflow import fields, geometry
 from contactflow.fields import (
     FrameField,
+    _fields_at,
     contact_field,
     contact_field_at,
     invariant_gradient_frame,
 )
 from contactflow.harmonics import SpectralFunction, SphereGrid
+from contactflow.metrics import MetricKind, inner
+from contactflow.rot3d import dmu_inner
 
 
 def unit_points(rng, n):
@@ -120,3 +123,55 @@ def test_xi_component_of_contact_field_is_its_hamiltonian():
     pts = unit_points(rng, 8)
     comp0 = geometry.frame_components(pts, X.evaluate(pts))[:, 0]
     assert np.max(np.abs(comp0 - f.pullback(pts))) < 1e-12
+
+
+def _pairings(f, h):
+    """dmu_inner, both quadrature inner kinds and the ambient values of
+    three fields on the quadrature nodes of degree f.L + h.L."""
+    quad, nodes = fields._quadrature(f.L + h.L)
+    Xs = [contact_field(f), FrameField(f, h, 0.5 * f), FrameField(0.0, h, 0.0)]
+    return ([dmu_inner(f, h)]
+            + [inner(kind, f, h, method="quadrature") for kind in MetricKind]
+            + nodes.ambient(Xs) + _fields_at(quad.nodes, Xs))
+
+
+def test_cached_quadrature_matches_a_cold_one_whatever_came_first():
+    # at one quadrature degree the node plan's tables grow to the largest
+    # field degree seen and are sliced for smaller ones
+    rng = np.random.default_rng(10)
+    degrees = [(1, 1), (3, 3), (1, 5), (2, 2), (5, 1), (3, 3), (0, 2)]
+    draws = [(SpectralFunction.random(a, rng), SpectralFunction.random(b, rng, lmin=1))
+             for a, b in degrees]
+    cold = []
+    for f, h in draws:
+        fields._quadrature.cache_clear()
+        cold.append(_pairings(f, h))
+    fields._quadrature.cache_clear()
+    for (f, h), want in zip(draws, cold):
+        got = _pairings(f, h)
+        assert len(got) == len(want) == 9
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # the one-shot evaluation at the same nodes gives the same bits
+        assert all(np.array_equal(a, b) for a, b in zip(got[3:6], got[6:]))
+
+
+def test_quadrature_plans_are_read_only_and_bounded():
+    rng = np.random.default_rng(11)
+    fields._quadrature.cache_clear()
+    quad, nodes = fields._quadrature(6)
+    nodes.ambient([FrameField(*(SpectralFunction.random(3, rng) for _ in range(3)))])
+    _, data = nodes.points._built
+    for arr in (quad.nodes, quad.weights, *nodes.frame, nodes.r2, nodes.r3,
+                nodes.e_th, nodes.e_lm, nodes.zero, nodes.points.x,
+                nodes.points.lam, *data.values()):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
+    assert fields._quadrature(6)[1] is nodes
+    # QuadratureS3.build itself stays uncached and writable
+    fresh = geometry.QuadratureS3.build(4, 8, 2)
+    assert fresh.nodes.flags.writeable and fresh.nodes is not quad.nodes
+    bound = fields._quadrature.cache_info().maxsize
+    for deg in range(bound + 3):
+        fields._quadrature(deg)
+    assert fields._quadrature.cache_info().currsize == bound

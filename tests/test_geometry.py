@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from contactflow import geometry
 from contactflow.fields import contact_field_at
 from contactflow.geometry import (
     QuadratureS3,
@@ -183,3 +184,16 @@ def test_zero_tangent_in_a_batch_gives_zero():
     got = lie_bracket_fd(X, Y, q)
     assert np.all(np.isfinite(got)) and np.all(got[2] == 0.0)
     assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13
+
+
+def test_frame_and_rotation_columns_share_their_products():
+    q = unit_points(np.random.default_rng(12), 9)
+    frame, columns = geometry._frame_and_columns(q)
+    for a, b in zip(frame, unit_frame(q)):
+        assert np.array_equal(a, b)
+    for a, b in zip(columns, geometry.rotation_columns(q)):
+        assert np.array_equal(a, b)
+    # R1 is the Hopf projection, bit for bit, and R2, R3 complete it to a rotation
+    assert np.array_equal(columns[0], geometry.hopf_point(q))
+    R = np.stack(columns, axis=-1)
+    assert np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3))) < 1e-14

@@ -203,6 +203,18 @@ def test_plan_cache_is_bounded():
     assert harmonics._plan.cache_info().currsize <= maxsize
 
 
+def test_symbols_are_shared_read_only_and_checked_first():
+    name, R = harmonics._symbol("dlambda_over_sin", 4)
+    assert name == "Q" and R.shape == (5, 2, 2)
+    assert harmonics._symbol("dlambda_over_sin", 4)[1] is R
+    with pytest.raises(ValueError):
+        R[1, 0, 1] = 0.0
+    before = harmonics._symbol_of.cache_info().currsize
+    with pytest.raises(ValueError, match="unknown derivative tag"):
+        harmonics._symbol("dphi", 4)
+    assert harmonics._symbol_of.cache_info().currsize == before
+
+
 def test_spectral_function_owns_its_coefficients():
     c = np.zeros((3, 5))
     f = SpectralFunction(c)
