@@ -142,9 +142,15 @@ def theta_form(q, v):
 
 def metric(q, u, v):
     """Associated metric g(u, v) = 2 <u, v> - theta(u) theta(v)."""
+    return _metric_qi(qmul(q, np.broadcast_to(_IQ, np.shape(q))), u, v)
+
+
+def _metric_qi(qi, u, v):
+    """metric with the product q i given: 2 <u, v> - <u, qi> <v, qi>."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return 2.0 * np.sum(u * v, axis=-1) - theta_form(q, u) * theta_form(q, v)
+    return (2.0 * np.sum(u * v, axis=-1)
+            - np.sum(u * qi, axis=-1) * np.sum(v * qi, axis=-1))
 
 
 def phi_map(q, v):

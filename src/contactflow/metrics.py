@@ -50,7 +50,7 @@ def inner(kind, f, h, method="spectral"):
         vals = fv * hv
     else:
         Xf, Xh = nodes.ambient([contact_field(f), contact_field(h)])
-        vals = geometry.metric(quad.nodes, Xf, Xh)
+        vals = geometry._metric_qi(nodes.frame[0], Xf, Xh)
     return float(np.dot(quad.weights, vals))
 
 

@@ -11,7 +11,8 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
     rot^-1 X_f = -f xi + 2 phi grad(Delta^-1 f);
   * curl_fd(X, points): a finite-difference oracle built only on frame
     derivatives of the metric components at a batch of points (..., 4),
-    sharing no code with the spectral path.
+    sharing no code with the spectral path; divergence_fd, its divergence
+    twin, also takes a sequence of fields.
 
 The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
@@ -19,7 +20,8 @@ flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
 pairing integrates over the one cached S^3 quadrature per degree, whose
 nodes, frame and Legendre tables are built once and shared with
-metrics.inner.
+metrics.inner, and the metric reads q i from its frame.  rot_report
+evaluates every residual on one node plan of its check points.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, _quadrature, contact_field
+from .fields import FrameField, _as_spectral, _NodePlan, _quadrature, contact_field
 from .geometry import SQRT2
 from .harmonics import (
     SpectralFunction,
@@ -74,8 +76,11 @@ def curl_inverse_contact(f):
 
 
 def _frame_components(X):
-    """q -> the metric components g(X(q), v_i(q)), i = 1..3, stacked last."""
-    return lambda q: geometry.frame_components(q, X.evaluate(q))
+    """q -> g(X(q), v_i(q)), i = 1..3, stacked last; (..., fields, 3) for a sequence."""
+    if isinstance(X, FrameField):
+        return lambda q: geometry.frame_components(q, X.evaluate(q))
+    return lambda q: geometry.frame_components(
+        q[..., None, :], np.stack(_NodePlan(q).ambient(X), axis=-2))
 
 
 def curl_fd(X, points, step=geometry.FD_STEP):
@@ -87,7 +92,7 @@ def curl_fd(X, points, step=geometry.FD_STEP):
         (rot X)_3 = 2 x_3 - (v1 x_2 - v2 x_1)
     on the metric components x_i = g(X, v_i), one stencil call per axis v_i.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
     comps = _frame_components(X)
     d = [geometry.frame_derivative(comps, i, points, step=step) for i in range(3)]
     x = comps(points)
@@ -101,8 +106,10 @@ def divergence_fd(X, points, step=geometry.FD_STEP):
     """Finite-difference divergence oracle at points (..., 4): div X = sum_i v_i(x_i).
 
     The unit frame is divergence-free (unimodularity), so no frame terms.
+    X is a FrameField, or a sequence of them evaluated together on one node
+    plan per stencil point set, which adds a trailing field axis.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
     comps = _frame_components(X)
     return sum(geometry.frame_derivative(comps, i, points, step=step)[..., i]
                for i in range(3))
@@ -126,19 +133,21 @@ def dmu_inner(f, h):
                          2.0 * f0.inverse_laplacian())
     quad, nodes = _quadrature(pre.degree + h.L)
     Xpre, Xh = nodes.ambient([pre, contact_field(h)])
-    vals = geometry.metric(quad.nodes, Xpre, Xh)
+    vals = geometry._metric_qi(nodes.frame[0], Xpre, Xh)
     return float(np.dot(quad.weights, vals))
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _ambient_residual(X, Y, points):
-    return float(np.max(np.linalg.norm((X - Y).evaluate(points), axis=-1)))
+def _ambient_residual(X, Y, plan):
+    return float(np.max(np.linalg.norm(plan.ambient([X - Y])[0], axis=-1)))
 
 
 def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
-    """Run the curl identity suite; a list of named residual checks."""
+    """Run the curl identity suite on one node plan of the check points (and
+    one divergence_fd call for all five inverse fields); a list of named
+    residual checks."""
     from .metrics import biinvariant_inner
 
     if min(L, n_pairs, n_points) < 1:
@@ -146,6 +155,7 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_points, 4))
     pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    plan = _NodePlan(pts)
     checks = []
 
     def add(name, residual, tol):
@@ -154,7 +164,7 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
 
     # fixed point of rot at calibration points
     reeb = FrameField.reeb()
-    add("reeb_field_fixed_point", _ambient_residual(curl(reeb), reeb, pts), 1e-8)
+    add("reeb_field_fixed_point", _ambient_residual(curl(reeb), reeb, plan), 1e-8)
 
     # closed-form contact curl against the production path
     res_cf = 0.0
@@ -162,21 +172,21 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     for _ in range(5):
         f = SpectralFunction.random(L, rng)
         res_cf = max(res_cf, _ambient_residual(curl(contact_field(f)),
-                                               contact_curl(f), pts))
+                                               contact_curl(f), plan))
         u = SpectralFunction.random(L, rng)
         gz = curl(FrameField.gradient(u))
-        res_grad = max(res_grad, _ambient_residual(gz, FrameField(0.0, 0.0, 0.0), pts))
+        res_grad = max(res_grad, _ambient_residual(gz, FrameField(0.0, 0.0, 0.0), plan))
     add("contact_curl_closed_form", res_cf, 1e-6)
     add("gradient_fields_curl_free", res_grad, 1e-6)
 
     # right inverse: rot(rot^-1 X_f) = X_f on mean-zero Hamiltonians
     res_rt = 0.0
-    res_div = 0.0
+    Ys = []
     for _ in range(5):
         f0 = SpectralFunction.random(L, rng, lmin=1)
-        Y = curl_inverse_contact(f0)
-        res_rt = max(res_rt, _ambient_residual(curl(Y), contact_field(f0), pts))
-        res_div = max(res_div, float(np.max(np.abs(divergence_fd(Y, pts[:8])))))
+        Ys.append(curl_inverse_contact(f0))
+        res_rt = max(res_rt, _ambient_residual(curl(Ys[-1]), contact_field(f0), plan))
+    res_div = float(np.max(np.abs(divergence_fd(Ys, pts[:8]))))
     add("inverse_round_trip", res_rt, 1e-6)
     add("inverse_divergence_free", res_div, 1e-6)
 

@@ -6,7 +6,7 @@ constructs its grid.  The same spans count Legendre table builds per
 scattered point set, also when several fields share one set (a pairing
 by quadrature) and in the finite-difference oracles' stencils, and show
 that a pairing by quadrature builds its nodes and tables once per
-degree."""
+degree, and that the curl suite prepares each of its point sets once."""
 
 import sys
 from functools import partial
@@ -14,11 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from contactflow import fields, flow
+from contactflow import fields, flow, geometry
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import MetricKind, inner
-from contactflow.rot3d import curl_fd, curl_inverse_contact, divergence_fd, dmu_inner
+from contactflow.rot3d import (
+    curl_fd,
+    curl_inverse_contact,
+    divergence_fd,
+    dmu_inner,
+    rot_report,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -95,3 +101,32 @@ def test_one_legendre_build_per_point_set():
     assert calls["geometry.frame_derivative"] == 3
     calls = traced_calls(lambda: curl_fd(X, pts))
     assert calls["harmonics.legendre_tables"] == 4
+
+
+def test_rot_report_prepares_each_point_set_once():
+    # one node plan for the check points (a degree-0 build grown to L) and
+    # one for each of the 3 stencil point sets of the single divergence
+    # call; the warm quadratures of the pairings build nothing
+    rot_report(L=4, seed=0, n_pairs=3, n_points=12)
+    calls = traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=3, n_points=12))
+    assert calls["harmonics.legendre_tables"] == 5
+    assert calls["geometry.frame_derivative"] == 3
+    assert calls["rot3d.divergence_fd"] == 1
+    # 6 per node plan (4), 1 per stencil circle (3) and 3 for the unit
+    # frame of each stencil's metric components (3)
+    assert calls["geometry.qmul"] == 36
+
+
+def test_metric_takes_qi_from_the_plan():
+    rng = np.random.default_rng(2)
+    q = rng.standard_normal((5, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    u, v = rng.standard_normal((2, 5, 4))
+    calls = traced_calls(lambda: geometry.metric(q, u, v))
+    assert calls["geometry.qmul"] == 1
+    f, h = (SpectralFunction.random(3, rng, lmin=1) for _ in range(2))
+    pairings = [lambda: dmu_inner(f, h)]
+    pairings += [partial(inner, kind, f, h, method="quadrature") for kind in MetricKind]
+    for pairing in pairings:
+        pairing()
+        assert traced_calls(pairing).get("geometry.qmul", 0) == 0

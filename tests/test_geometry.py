@@ -18,6 +18,7 @@ from contactflow.geometry import (
     lie_bracket_fd,
     metric,
     phi_map,
+    qmul,
     theta_form,
     unit_frame,
     verify_axioms,
@@ -197,3 +198,16 @@ def test_frame_and_rotation_columns_share_their_products():
     assert np.array_equal(columns[0], geometry.hopf_point(q))
     R = np.stack(columns, axis=-1)
     assert np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3))) < 1e-14
+
+
+def test_metric_from_a_given_qi_is_the_metric():
+    rng = np.random.default_rng(13)
+    q = unit_points(rng, 7)
+    u, v = rng.standard_normal((2, 7, 4))
+    qi = qmul(q, np.broadcast_to([0.0, 1.0, 0.0, 0.0], q.shape))
+    got = metric(q, u, v)
+    assert np.array_equal(got, geometry._metric_qi(qi, u, v))
+    assert np.array_equal(got, 2.0 * np.sum(u * v, axis=-1)
+                          - theta_form(q, u) * theta_form(q, v))
+    # the node plan's v1 is that product, bit for bit
+    assert np.array_equal(unit_frame(q)[0], qi)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactflow import geometry
-from contactflow.fields import FrameField, contact_field
+from contactflow.fields import FrameField, _NodePlan, contact_field
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import biinvariant_inner
 from contactflow.rot3d import (
+    _ambient_residual,
     contact_curl,
     curl,
     curl_fd,
@@ -74,6 +77,55 @@ def test_inverse_is_divergence_free():
     assert Y.divergence().norm_M() < 1e-14
     pts = unit_points(rng, 4)
     assert np.max(np.abs(divergence_fd(Y, pts))) < 1e-8
+
+
+def test_single_point_oracles_keep_the_batch_convention():
+    # one point (4,) gives a scalar divergence and a (4,) curl: bit for bit
+    # the row of a one-point batch, and within round-off of a larger batch,
+    # whose field evaluations may sum in another order
+    rng = np.random.default_rng(7)
+    pts = unit_points(rng, 5)
+    Y = curl_inverse_contact(SpectralFunction.random(3, rng, lmin=1))
+    X = FrameField(*(SpectralFunction.random(3, rng) for _ in range(3)))
+    div, rot = divergence_fd(Y, pts), curl_fd(X, pts)
+    assert div.shape == (5,) and rot.shape == (5, 4)
+    for i in (0, 3):
+        d, c = divergence_fd(Y, pts[i]), curl_fd(X, pts[i])
+        assert d.shape == () and c.shape == (4,)
+        assert np.array_equal(d, divergence_fd(Y, pts[i:i + 1])[0])
+        assert np.array_equal(c, curl_fd(X, pts[i:i + 1])[0])
+        assert abs(d - div[i]) < 1e-13 and np.max(np.abs(c - rot[i])) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees=st.lists(st.integers(1, 13), min_size=1, max_size=5),
+       n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_divergence_is_each_fields_own(degrees, n, seed):
+    # a sequence of fields shares one evaluation per stencil point set; each
+    # slice of the trailing field axis is bit-for-bit the field's own call
+    rng = np.random.default_rng(seed)
+    Ys = [curl_inverse_contact(SpectralFunction.random(L, rng, lmin=1)) for L in degrees]
+    pts = unit_points(rng, n)
+    got = divergence_fd(Ys, pts)
+    assert got.shape == (n, len(Ys))
+    for i, Y in enumerate(Ys):
+        assert np.array_equal(got[..., i], divergence_fd(Y, pts))
+
+
+def test_residuals_on_a_shared_plan_match_fresh_evaluations():
+    # the plan's tables grow from degree 0 to 7 and are sliced for degree 3
+    rng = np.random.default_rng(8)
+    pts = unit_points(rng, 10)
+    plan = _NodePlan(pts)
+    reeb = FrameField.reeb()
+    pairs = [(curl(reeb), reeb)]
+    for L in (7, 3):
+        f = SpectralFunction.random(L, rng)
+        pairs.append((curl(contact_field(f)), contact_curl(f)))
+    for X, Y in pairs:
+        fresh = (X - Y).evaluate(pts)
+        assert np.array_equal(plan.ambient([X - Y])[0], fresh)
+        assert _ambient_residual(X, Y, plan) == np.max(np.linalg.norm(fresh, axis=-1))
 
 
 def test_inverse_rejects_nonzero_mean():
