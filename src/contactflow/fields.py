@@ -24,9 +24,10 @@ unit frame and the rotation columns from one set of products q i, q j,
 q k, and e_theta, e_lambda at pi(q).  It then assembles ambient values of
 any number of fields, every value and derivative from one Legendre table
 build; a degree-0 u or w has zero derivatives and is not evaluated.
-FrameField.evaluate and contact_field_at build a plan per call.  The S^3
-quadrature of a pairing and its node plan are built once per quadrature
-degree and cached read-only, so a pairing evaluates only its two fields.
+FrameField.evaluate, contact_field_at and invariant_gradient_frame make
+a plan per call.  The S^3 quadrature of a pairing and its node plan are
+built once per degree and cached read-only, so a pairing evaluates only
+its two fields.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
@@ -58,7 +59,7 @@ def _as_spectral(f):
 
 def invariant_gradient_frame(f, q):
     """(v2 f, v3 f) at S^3 points for a Reeb-invariant f."""
-    ((_, v2f, v3f),) = _frame_data(q, [FrameField.gradient(f)])
+    ((_, v2f, v3f),) = _NodePlan(q).components([FrameField.gradient(f)])
     return v2f, v3f
 
 
@@ -110,18 +111,6 @@ class _NodePlan:
         v1, v2, v3 = self.frame
         return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
                 for c1, c2, c3 in self.components(fields)]
-
-
-def _frame_data(q, fields):
-    """Unit-frame components (c1, c2, c3) of several fields at one set of
-    S^3 points, from one Legendre table build."""
-    return _NodePlan(q).components(fields)
-
-
-def _fields_at(q, fields):
-    """Ambient R^4 values of several fields at one set of S^3 points (..., 4),
-    from one Legendre table build."""
-    return _NodePlan(q).ambient(fields)
 
 
 @functools.lru_cache(maxsize=8)
@@ -209,7 +198,7 @@ class FrameField:
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4)."""
-        return _fields_at(q, [self])[0]
+        return _NodePlan(q).ambient([self])[0]
 
     # -- differential structure -------------------------------------------------
 
@@ -238,4 +227,4 @@ def contact_field(f):
 
 def contact_field_at(f, q):
     """Ambient values of X_f at S^3 points (..., 4)."""
-    return _fields_at(q, [FrameField.contact(f)])[0]
+    return _NodePlan(q).ambient([FrameField.contact(f)])[0]

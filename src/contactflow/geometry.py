@@ -222,7 +222,8 @@ def _pullback(f):
 
 def _stencil(F, pts, weights):
     """sum_k weights[k] F(pts[k]) over the leading stencil axis of pts, added
-    in offset order, so a point's value does not depend on its batch."""
+    in offset order; a FrameField's values still round differently with the
+    batch size (~1e-15), so a point's result can too."""
     return sum(w * v for w, v in zip(weights, F(pts)))
 
 
@@ -442,14 +443,15 @@ class QuadratureS3:
 
     @classmethod
     def build(cls, nlat=12, nlon=24, nfib=8):
-        x, w = np.polynomial.legendre.leggauss(nlat)
-        theta = np.arccos(x)
+        from .harmonics import _plan
+
+        gauss = _plan(nlat)
         lam = 2.0 * np.pi * np.arange(nlon) / nlon
         psi = 2.0 * np.pi * np.arange(nfib) / nfib
-        th_g, lm_g, ps_g = np.meshgrid(theta, lam, psi, indexing="ij")
+        th_g, lm_g, ps_g = np.meshgrid(gauss.theta, lam, psi, indexing="ij")
         base = section_lift(th_g.ravel(), lm_g.ravel())
         nodes = quat_circle(base, 0, ps_g.ravel())
-        w_g = np.broadcast_to(w[:, None, None], th_g.shape).ravel()
+        w_g = np.broadcast_to(gauss.w[:, None, None], th_g.shape).ravel()
         weights = 0.5 * w_g * (2.0 * np.pi / nlon) * (2.0 * np.pi / nfib)
         return cls(nodes, weights)
 

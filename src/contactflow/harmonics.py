@@ -27,19 +27,18 @@ l < m, so the sum over l is one batched product over all orders.  Leading
 axes are batch axes: synthesize takes a stack of coefficient arrays and
 adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
 its own call.  The per-order maps are built once per (tag, degree) and
-shared read-only.  Scattered evaluation runs in two steps: a point plan
-prepares one set of points (x = cos theta, the cos/sin(m lam) rows and the
-Legendre tables, grown to the largest degree asked and sliced below it),
-then evaluates any number of (function, tag) pairs on it.  A one-shot
-point set builds its plan per call; a plan kept for fixed nodes, such as
-a quadrature's, builds its tables once.  A build loops over degree and
-updates all orders at once: O(L) Python steps.
+shared read-only.
 
-A grid is a view of a shared Gauss-Legendre plan, one per nlat in a
-fixed-size cache: nodes, weights and Legendre tables are computed once per
-nlat, so a fresh grid per bracket costs no table build.  The tables grow
-to the largest degree asked and are sliced for smaller ones; all shared
-arrays are read-only.
+One table plan holds x = cos theta and the Legendre tables at x, grown to
+the largest degree asked and sliced below it; a build loops over degree
+and updates all orders at once, O(L) Python steps.  A grid is a view of a
+shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
+the nodes' weights and theta, so a fresh grid per bracket costs no table
+build.  A point plan prepares scattered points, adding the cos/sin(m lam)
+rows that grow with its tables, then evaluates any number of (function,
+tag) pairs on them: a one-shot point set builds its plan per call, a plan
+kept for fixed nodes, such as a quadrature's, builds its tables once.  All
+plan arrays are read-only.
 """
 
 from __future__ import annotations
@@ -113,28 +112,39 @@ def _frozen(a):
     return a
 
 
-class _GaussPlan:
-    """Gauss-Legendre nodes and weights for one nlat, and the Legendre
-    tables at those nodes, built on first use.
+class _TablePlan:
+    """x = cos(theta) and the Legendre tables at x, the package's one caller
+    of legendre_tables.  The tables grow to the largest L asked and are
+    sliced for smaller L, bit-for-bit a fresh build's, since P[l, m] depends
+    only on lower degrees.  Every array is read-only: plans are shared."""
 
-    The tables grow to the largest L requested and are sliced for smaller
-    L; since P[l, m] depends only on lower degrees, a slice is bit-for-bit
-    the table a fresh build at that L would give.  Every array is
-    read-only, because every grid with this nlat shares it.
-    """
+    def __init__(self, x):
+        self.x = _frozen(x)
+        self._built = (-1, {})    # (degree, arrays), replaced as one value
+
+    def _build(self, L):
+        return dict(zip(("P", "dP", "Q"), map(_frozen, legendre_tables(self.x, L))))
+
+    def arrays(self, L):
+        """The unsliced arrays, built at a degree >= L."""
+        built, data = self._built
+        if L > built:
+            data = self._build(L)
+            self._built = (L, data)
+        return data
+
+    def tables(self, L):
+        data = self.arrays(L)
+        return {k: data[k][: L + 1, : L + 1] for k in ("P", "dP", "Q")}
+
+
+class _GaussPlan(_TablePlan):
+    """The table plan of one nlat's Gauss-Legendre nodes, with weights and theta."""
 
     def __init__(self, nlat):
         x, w = np.polynomial.legendre.leggauss(nlat)
-        self.x, self.w, self.theta = _frozen(x), _frozen(w), _frozen(np.arccos(x))
-        self._built = (-1, {})    # (degree, tables), replaced as one value
-
-    def tables(self, L):
-        built, tables = self._built
-        if L > built:
-            tables = dict(zip(("P", "dP", "Q"),
-                              map(_frozen, legendre_tables(self.x, L))))
-            self._built = (L, tables)
-        return {k: v[: L + 1, : L + 1] for k, v in tables.items()}
+        super().__init__(x)
+        self.w, self.theta = _frozen(w), _frozen(np.arccos(x))
 
 
 @functools.lru_cache(maxsize=32)
@@ -162,7 +172,7 @@ class SphereGrid:
 
     @classmethod
     def for_degree(cls, L):
-        return cls(L + 1, 2 * L + 2)
+        return cls.for_integration(2 * L, L)
 
     @classmethod
     def for_integration(cls, deg_integrand, deg_synth):
@@ -388,7 +398,7 @@ class SpectralFunction:
 
     def evaluate_base(self, theta, lam, deriv=None):
         """Scattered evaluation at colatitude/longitude arrays."""
-        return _evaluate_at([(self, deriv)], theta, lam)[0]
+        return _PointPlan(theta, lam).evaluate([(self, deriv)])[0]
 
     def pullback(self, q):
         """Values of the Reeb-invariant extension at S^3 points (..., 4)."""
@@ -444,35 +454,25 @@ def _adjoint(ab, table, R):
     return coeffs
 
 
-class _PointPlan:
-    """Scattered points (theta, lam) prepared for evaluation: x = cos(theta),
-    the cos(m lam) and sin(m lam) rows and the Legendre tables at x.
-
-    Rows and tables grow to the largest degree asked and are sliced for
-    smaller ones, as in _GaussPlan, so a plan kept for many evaluations
-    builds its tables once; every array is read-only.
-    """
+class _PointPlan(_TablePlan):
+    """The table plan of scattered points (theta, lam), with the cos(m lam)
+    and sin(m lam) rows, which grow with the tables."""
 
     def __init__(self, theta, lam):
         theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
         self.shape = theta.shape
-        self.x = _frozen(np.cos(theta.ravel()))
+        super().__init__(np.cos(theta.ravel()))
         self.lam = _frozen(lam.ravel())
-        self._built = (-1, {})    # (degree, rows and tables), replaced as one value
 
-    def _data(self, L):
-        built, data = self._built
-        if L > built:
-            m_lam = np.arange(L + 1)[:, None] * self.lam
-            data = dict(zip(("P", "dP", "Q", "cos", "sin"),
-                            map(_frozen, (*legendre_tables(self.x, L),
-                                          np.cos(m_lam), np.sin(m_lam)))))
-            self._built = (L, data)
+    def _build(self, L):
+        data = super()._build(L)
+        m_lam = np.arange(L + 1)[:, None] * self.lam
+        data["cos"], data["sin"] = _frozen(np.cos(m_lam)), _frozen(np.sin(m_lam))
         return data
 
     def evaluate(self, pairs):
         """Values of (function, tag) pairs at the points, shaped like theta."""
-        data = self._data(max(f.L for f, _ in pairs))
+        data = self.arrays(max(f.L for f, _ in pairs))
         out = []
         for f, deriv in pairs:
             name, R = _symbol(deriv, f.L)
@@ -481,12 +481,6 @@ class _PointPlan:
             v = np.sum(ab[:, 0] * data["cos"][:n] + ab[:, 1] * data["sin"][:n], axis=0)
             out.append(v.reshape(self.shape))
         return out
-
-
-def _evaluate_at(pairs, theta, lam):
-    """Values of (function, tag) pairs at one set of scattered points, from
-    one Legendre table build sliced to each function's degree."""
-    return _PointPlan(theta, lam).evaluate(pairs)
 
 
 def _analysis(values, grid, L, deriv):

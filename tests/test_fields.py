@@ -4,7 +4,6 @@ import pytest
 from contactflow import fields, geometry
 from contactflow.fields import (
     FrameField,
-    _fields_at,
     contact_field,
     contact_field_at,
     invariant_gradient_frame,
@@ -132,7 +131,7 @@ def _pairings(f, h):
     Xs = [contact_field(f), FrameField(f, h, 0.5 * f), FrameField(0.0, h, 0.0)]
     return ([dmu_inner(f, h)]
             + [inner(kind, f, h, method="quadrature") for kind in MetricKind]
-            + nodes.ambient(Xs) + _fields_at(quad.nodes, Xs))
+            + nodes.ambient(Xs) + fields._NodePlan(quad.nodes).ambient(Xs))
 
 
 def test_cached_quadrature_matches_a_cold_one_whatever_came_first():
@@ -161,7 +160,8 @@ def test_quadrature_plans_are_read_only_and_bounded():
     fields._quadrature.cache_clear()
     quad, nodes = fields._quadrature(6)
     nodes.ambient([FrameField(*(SpectralFunction.random(3, rng) for _ in range(3)))])
-    _, data = nodes.points._built
+    data = nodes.points.arrays(3)
+    assert set(data) == {"P", "dP", "Q", "cos", "sin"}
     for arr in (quad.nodes, quad.weights, *nodes.frame, nodes.r2, nodes.r3,
                 nodes.e_th, nodes.e_lm, nodes.zero, nodes.points.x,
                 nodes.points.lam, *data.values()):

@@ -113,6 +113,22 @@ def test_quadrature_volume_and_oscillation():
     assert abs(val) < 1e-12
 
 
+def test_quadrature_nodes_are_the_grid_plans_gauss_nodes():
+    # the quadrature reads x, w and theta from the shared Gauss plan; its
+    # nodes and weights are bit-for-bit a direct leggauss build
+    for nlat, nlon, nfib in ((1, 2, 1), (6, 12, 4), (13, 26, 2)):
+        x, w = np.polynomial.legendre.leggauss(nlat)
+        lam = 2.0 * np.pi * np.arange(nlon) / nlon
+        psi = 2.0 * np.pi * np.arange(nfib) / nfib
+        th_g, lm_g, ps_g = np.meshgrid(np.arccos(x), lam, psi, indexing="ij")
+        nodes = geometry.quat_circle(
+            geometry.section_lift(th_g.ravel(), lm_g.ravel()), 0, ps_g.ravel())
+        weights = 0.5 * np.repeat(w, nlon * nfib) * (2.0 * np.pi / nlon) * (2.0 * np.pi / nfib)
+        quad = QuadratureS3.build(nlat, nlon, nfib)
+        assert np.array_equal(quad.nodes, nodes)
+        assert np.array_equal(quad.weights, weights)
+
+
 def test_frame_derivative_on_linear_function():
     # f(q) = q . e has v_i f = (q ihat_i / speed_i) . e exactly
     rng = np.random.default_rng(7)

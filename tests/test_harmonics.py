@@ -147,6 +147,35 @@ def test_plan_tables_match_a_fresh_build_whatever_came_first():
             assert np.array_equal(grid.tables(L)[name], w)
 
 
+def test_point_plan_values_match_a_fresh_plan_whatever_came_first():
+    rng = np.random.default_rng(12)
+    theta, lam = rng.uniform(0.0, np.pi, 9), rng.uniform(0.0, 2.0 * np.pi, 9)
+    plan = harmonics._PointPlan(theta, lam)
+    for L in (2, 9, 4, 12, 9):
+        f = SpectralFunction.random(L, rng)
+        pairs = [(f, t) for t in (None, "dtheta", "dlambda_over_sin")]
+        want = harmonics._PointPlan(theta, lam).evaluate(pairs)
+        for got, w in zip(plan.evaluate(pairs), want):
+            assert np.array_equal(got, w)
+
+
+def test_point_plan_builds_once_at_the_largest_degree():
+    # pairs in ascending degree would grow a per-pair build at every pair
+    from test_bench_hooks import traced_calls
+
+    rng = np.random.default_rng(13)
+    theta, lam = rng.uniform(0.0, np.pi, 5), rng.uniform(0.0, 2.0 * np.pi, 5)
+    pairs = [(SpectralFunction.random(L, rng), None) for L in (1, 3, 6, 8)]
+    calls = traced_calls(lambda: harmonics._PointPlan(theta, lam).evaluate(pairs))
+    assert calls["harmonics.legendre_tables"] == 1
+
+
+def test_for_degree_is_the_full_degree_integration_grid():
+    for L in range(41):
+        a, b = SphereGrid.for_degree(L), SphereGrid.for_integration(2 * L, L)
+        assert (a.nlat, a.nlon) == (b.nlat, b.nlon) == (L + 1, 2 * L + 2)
+
+
 def _legendre_tables_by_mode(x, L):
     """The per-(l, m) loop legendre_tables used before its O(L) recurrence,
     kept verbatim as a bit-for-bit oracle."""
