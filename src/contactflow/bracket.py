@@ -12,9 +12,11 @@ The operands are synthesized as one stack, one call per tag, on a grid
 sized to the output degree L <= D: a grid integrating degree D + L exactly
 projects the bracket exactly (stronger than the 3/2 de-aliasing rule).
 At L = D this is for_degree(D); the flow's brackets (L = D/2) get a grid
-3/4 as fine each way and Legendre tables of half the degree.  The
-structure constants synthesize the whole basis once on for_degree(2L) and
-are stored as (i, j, k, c) arrays.
+3/4 as fine each way and Legendre tables of half the degree.  A batch
+stacks the operands of all brackets with the same (D, L, max degree), on
+the grid and padding each would get alone, so every bracket is bit-for-bit
+its own call.  The structure constants synthesize the whole basis once on
+for_degree(2L) and are stored as (i, j, k, c) arrays.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ import numpy as np
 from . import geometry
 from .fields import contact_field_at
 from .harmonics import (
-    GridFunction,
     SphereGrid,
     SpectralFunction,
     _triangle,
     adjoint_analyze,
-    analyze,
     inner_M,
     synthesize,
 )
@@ -46,16 +46,31 @@ def lagrange_bracket(f, h, L_out=None):
     Pass L_out to get the bracket truncated (or zero-padded) to degree
     L_out, as the Euler flow does; identities are tested at full degree.
     """
-    D = f.L + h.L
-    L = D if L_out is None else min(L_out, D)
-    L_in = max(f.L, h.L)
-    grid = SphereGrid.for_integration(D + L, L_in)
-    fh = np.stack([f.padded(L_in).coeffs, h.padded(L_in).coeffs])
-    th = synthesize(fh, grid, deriv="dtheta")
-    lm = synthesize(fh, grid, deriv="dlambda_over_sin")
-    vals = -2.0 * (th[0] * lm[1] - lm[0] * th[1])
-    out = analyze(GridFunction(grid, vals), L)
-    return out if L_out is None else out.padded(L_out)
+    return _brackets([(f, h)], L_out)[0]
+
+
+def _brackets(pairs, L_out=None):
+    """[f, h] of each (f, h) pair, bit-for-bit its own lagrange_bracket:
+    the pairs of one (D, L, L_in) share that bracket's grid, one synthesize
+    call per tag and one analysis."""
+    if L_out is not None and L_out < 0:
+        raise ValueError("L_out must be >= 0, got %r" % (L_out,))
+    groups = {}
+    for n, (f, h) in enumerate(pairs):
+        D = f.L + h.L
+        key = (D, D if L_out is None else min(L_out, D), max(f.L, h.L))
+        groups.setdefault(key, []).append(n)
+    out = [None] * len(pairs)
+    for (D, L, L_in), idx in groups.items():
+        grid = SphereGrid.for_integration(D + L, L_in)
+        fh = np.stack([[w.padded(L_in).coeffs for w in pairs[n]] for n in idx])
+        th = synthesize(fh, grid, deriv="dtheta")
+        lm = synthesize(fh, grid, deriv="dlambda_over_sin")
+        vals = -2.0 * (th[:, 0] * lm[:, 1] - lm[:, 0] * th[:, 1])
+        for n, c in zip(idx, adjoint_analyze(vals, grid, L, None)):
+            b = SpectralFunction(c)
+            out[n] = b if L_out is None else b.padded(L_out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ metric and cross-validated:
     de-aliased grid quadrature;
   * the eigenfunction closed form (for single-degree pairs).
 
+The routes share no bracket or operand, since their agreement is the
+check.  Within a route, the distinct brackets of one dependency level are
+one batched call, bit-for-bit the single brackets, and the quadratures
+synthesize each distinct operand once per grid.
+
 The structure-constant form carries an unresolved overall sign in its
 source.  Matching it against the eigenfunction form fixes STRUCTURAL_SIGN
 = +1.  structural_sign() re-runs that match on every call; a test holds the
@@ -27,6 +32,7 @@ import numpy as np
 from . import geometry
 from .bracket import (
     StructureConstants,
+    _brackets,
     basis_function,
     basis_lm,
     lagrange_bracket,
@@ -46,6 +52,7 @@ class SectionPlane:
     kind: MetricKind
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", MetricKind(self.kind))
         nf = np.sqrt(inner(self.kind, self.f, self.f))
         if nf <= DEGENERACY_TOL:
             raise ValueError("degenerate plane: first spanning function is null")
@@ -61,11 +68,24 @@ class SectionPlane:
 
 def quad_inner_M(u, v):
     """int_M u v dmu by grid quadrature (independent of Parseval)."""
-    D = u.L + v.L
-    grid = SphereGrid.for_integration(D, max(u.L, v.L))
-    uu = synthesize(u, grid)
-    vv = synthesize(v, grid)
-    return geometry.FIBER_FACTOR * grid.integrate(uu * vv)
+    return _quad_inners([(u, v)])[0]
+
+
+def _quad_inners(pairs):
+    """quad_inner_M of each (u, v) pair, bit-for-bit, each on its own grid:
+    a grid synthesizes each distinct operand (by identity) once, in one
+    stacked call per degree."""
+    keys = [(u.L + v.L, max(u.L, v.L)) for u, v in pairs]
+    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
+    stacks = {}
+    for key, pair in zip(keys, pairs):
+        for w in pair:
+            stacks.setdefault((key, w.L), {})[key, id(w)] = w.coeffs
+    vals = {}
+    for (key, _), ops in stacks.items():
+        vals.update(zip(ops, synthesize(np.stack(list(ops.values())), grids[key])))
+    return [geometry.FIBER_FACTOR * grids[key].integrate(vals[key, id(u)] * vals[key, id(v)])
+            for key, (u, v) in zip(keys, pairs)]
 
 
 def k_biinvariant(sigma):
@@ -88,9 +108,10 @@ class ProjectedCovariant:
 
 
 def projected_covariant(f, h):
-    b = lagrange_bracket(f, h)
-    fh = lagrange_bracket(f, h.helmholtz())
-    hf = lagrange_bracket(h, f.helmholtz())
+    """s and q of (f, h) by the D-lemma, its three brackets one batched call.
+    The assembled route batches these brackets with its own instead, and
+    takes D s = [f, Df] for a pair (f, f), as [f, f] = 0 exactly."""
+    b, fh, hf = _brackets([(f, h), (f, h.helmholtz()), (h, f.helmholtz())])
     s = (0.5 * (b.helmholtz() + fh + hf)).inverse_helmholtz()
     q = (fh + hf).inverse_helmholtz()
     return ProjectedCovariant(s=s, q=q)
@@ -107,26 +128,25 @@ def k_right_invariant(sigma, method="direct"):
         raise ValueError("k_right_invariant needs an energy-orthonormal plane")
     f, h = sigma.f, sigma.h
     if method == "direct":
-        b = lagrange_bracket(f, h)
         lap_f, lap_h = f.laplacian(), h.laplacian()
-        t_sym = lagrange_bracket(lap_f, h) + lagrange_bracket(f, lap_h)
-        q_tilde = lagrange_bracket(f, lap_h) - lagrange_bracket(lap_f, h)
-        ff = lagrange_bracket(f, lap_f)
-        hh = lagrange_bracket(h, lap_h)
-        return (0.25 * quad_inner_M(b, b)
-                - 0.75 * quad_inner_M(b, b.laplacian())
-                + 0.5 * quad_inner_M(b, t_sym)
-                - quad_inner_M(ff, hh.inverse_helmholtz())
-                + 0.25 * quad_inner_M(q_tilde, q_tilde.inverse_helmholtz()))
+        b, lf_h, f_lh, ff, hh = _brackets(
+            [(f, h), (lap_f, h), (f, lap_h), (f, lap_f), (h, lap_h)])
+        t_sym, q_tilde = lf_h + f_lh, f_lh - lf_h
+        k = _quad_inners([(b, b), (b, b.laplacian()), (b, t_sym),
+                          (ff, hh.inverse_helmholtz()),
+                          (q_tilde, q_tilde.inverse_helmholtz())])
+        return 0.25 * k[0] - 0.75 * k[1] + 0.5 * k[2] - k[3] + 0.25 * k[4]
     if method != "assembled":
         raise ValueError("unknown method %r" % method)
-    b = lagrange_bracket(f, h)
-    s_ff = projected_covariant(f, f).s
-    s_hh = projected_covariant(h, h).s
-    q = projected_covariant(f, h).q
+    Df, Dh = f.helmholtz(), h.helmholtz()
+    b, f_Dh, h_Df, f_Df, h_Dh = _brackets(
+        [(f, h), (f, Dh), (h, Df), (f, Df), (h, Dh)])
+    f_b, h_b = _brackets([(f, b), (h, -1.0 * b)])
+    s_ff, s_hh = f_Df.inverse_helmholtz(), h_Dh.inverse_helmholtz()
+    q = (f_Dh + h_Df).inverse_helmholtz()
     return (-0.75 * energy_inner(b, b)
-            - 0.5 * energy_inner(lagrange_bracket(f, b), h)
-            - 0.5 * energy_inner(lagrange_bracket(h, -1.0 * b), f)
+            - 0.5 * energy_inner(f_b, h)
+            - 0.5 * energy_inner(h_b, f)
             - energy_inner(s_ff, s_hh)
             + 0.25 * energy_inner(q, q))
 
@@ -154,9 +174,10 @@ def k_eigen(f, h, alpha=None, beta=None):
         beta = eigenvalue(lh)
     sigma = SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
     b = lagrange_bracket(sigma.f, sigma.h)
-    return (-0.75 * quad_inner_M(b, b.laplacian())
-            + 0.25 * (1.0 + 2.0 * (alpha + beta)) * quad_inner_M(b, b)
-            + 0.25 * (alpha - beta) ** 2 * quad_inner_M(b, b.inverse_helmholtz()))
+    k = _quad_inners([(b, b.laplacian()), (b, b), (b, b.inverse_helmholtz())])
+    return (-0.75 * k[0]
+            + 0.25 * (1.0 + 2.0 * (alpha + beta)) * k[1]
+            + 0.25 * (alpha - beta) ** 2 * k[2])
 
 
 # ---------------------------------------------------------------------------
@@ -202,4 +223,6 @@ def k_structural(constants, j, k):
     """
     if not isinstance(constants, StructureConstants):
         raise TypeError("k_structural expects a StructureConstants table")
+    if j == k:
+        raise ValueError("degenerate plane: basis pair (%d, %d) repeats" % (j, k))
     return STRUCTURAL_SIGN * _structural_form(constants, j, k)

@@ -6,7 +6,9 @@ constructs its grid.  The same spans count Legendre table builds per
 scattered point set, also when several fields share one set (a pairing
 by quadrature) and in the finite-difference oracles' stencils, and show
 that a pairing by quadrature builds its nodes and tables once per
-degree, and that the curl suite prepares each of its point sets once."""
+degree, and that the curl suite prepares each of its point sets once.
+The curvature routes batch their brackets and quadrature operands: one
+synthesize call per tag per grid, not per bracket."""
 
 import sys
 from functools import partial
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import contactflow as cf
 from contactflow import fields, flow, geometry
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
@@ -65,6 +68,28 @@ def test_flow_step_builds_a_grid_per_bracket():
     calls = traced_calls(lambda: flow.step(flow.FlowState(h), 1e-3))
     assert calls["bracket.lagrange_bracket"] == 4
     assert calls["harmonics.grid_build"] >= 4
+
+
+def test_curvature_plane_batches_its_transforms():
+    # plane (3, 10), degrees 1 and 3: each route's brackets fall into up to
+    # three (D, L, L_in) groups of one grid and 2 synthesize calls, and its
+    # pairings synthesize each operand degree once per grid -- 25 calls on
+    # 14 grids and 10 analyses (one call per bracket and operand made 60 on 30)
+    f, h = cf.basis_function(3), cf.basis_function(10)
+
+    def plane():
+        sig_bi = cf.SectionPlane(f, h, MetricKind.BI_INVARIANT)
+        sig_e = cf.SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
+        cf.k_biinvariant(sig_bi)
+        cf.k_right_invariant(sig_e, "direct")
+        cf.k_right_invariant(sig_e, "assembled")
+        cf.k_eigen(f, h)
+
+    calls = traced_calls(plane)
+    assert calls["harmonics.synthesize"] == 25
+    assert calls["harmonics.grid_build"] == 14
+    assert calls["harmonics.adjoint_analyze"] == 10
+    assert calls.get("harmonics.analyze", 0) == 0
 
 
 def test_one_legendre_build_per_point_set():

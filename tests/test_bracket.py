@@ -4,6 +4,7 @@ import pytest
 from contactflow import geometry
 from contactflow.bracket import (
     DROP_TOL,
+    _brackets,
     ad_invariance_residual,
     basis_function,
     basis_index,
@@ -54,6 +55,15 @@ def test_leibniz_rule():
     lhs = lagrange_bracket(f, product(h, k))
     rhs = product(lagrange_bracket(f, h), k) + product(h, lagrange_bracket(f, k))
     assert (lhs - rhs).norm_M() < 1e-12
+
+
+def test_negative_L_out_rejected():
+    rng = np.random.default_rng(3)
+    f, h = (SpectralFunction.random(2, rng) for _ in range(2))
+    with pytest.raises(ValueError, match="L_out"):
+        lagrange_bracket(f, h, L_out=-1)
+    with pytest.raises(ValueError, match="L_out"):
+        _brackets([(f, h), (h, f)], L_out=-2)
 
 
 def test_constants_are_central():

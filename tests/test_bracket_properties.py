@@ -1,13 +1,20 @@
 """Property tests for lagrange_bracket over random band limits: the Lie
-algebra identities, and truncation to any L_out agreeing with the
-full-degree bracket."""
+algebra identities, truncation to any L_out agreeing with the
+full-degree bracket, and each batched bracket equal to its own call."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contactflow.bracket import lagrange_bracket
-from contactflow.harmonics import SpectralFunction, product
+from contactflow.bracket import _brackets, lagrange_bracket
+from contactflow.harmonics import (
+    GridFunction,
+    SphereGrid,
+    SpectralFunction,
+    analyze,
+    product,
+    synthesize,
+)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 fast = settings(max_examples=50, deadline=None)
@@ -67,3 +74,33 @@ def test_truncated_bracket_matches_full_degree(Lf, Lh, excess, seed):
     assert got.L == L_out
     want = full.truncated(L_out)
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * full.norm_base()
+
+
+def unbatched_bracket(f, h, L_out=None):
+    """lagrange_bracket as one pair on its own grid, analyzed by analyze."""
+    D = f.L + h.L
+    L = D if L_out is None else min(L_out, D)
+    L_in = max(f.L, h.L)
+    grid = SphereGrid.for_integration(D + L, L_in)
+    fh = np.stack([f.padded(L_in).coeffs, h.padded(L_in).coeffs])
+    th = synthesize(fh, grid, deriv="dtheta")
+    lm = synthesize(fh, grid, deriv="dlambda_over_sin")
+    out = analyze(GridFunction(grid, -2.0 * (th[0] * lm[1] - lm[0] * th[1])), L)
+    return out if L_out is None else out.padded(L_out)
+
+
+@fast
+@given(degrees=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                        min_size=1, max_size=6),
+       L_out=st.one_of(st.none(), st.integers(0, 14)), seed=seeds)
+@example(degrees=[(2, 2), (1, 3), (2, 2), (3, 1), (0, 4)], L_out=None, seed=0)
+@example(degrees=[(3, 3), (3, 6), (6, 3), (3, 3)], L_out=3, seed=0)  # flow-like
+def test_batched_brackets_are_their_own_calls(degrees, L_out, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(SpectralFunction.random(a, rng), SpectralFunction.random(b, rng))
+             for a, b in degrees]
+    for (f, h), got in zip(pairs, _brackets(pairs, L_out)):
+        want = unbatched_bracket(f, h, L_out)
+        assert got.L == want.L
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(lagrange_bracket(f, h, L_out).coeffs, want.coeffs)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from contactflow.bracket import basis_function, basis_size, structure_constants
+from contactflow import geometry
+from contactflow.bracket import (
+    basis_function,
+    basis_size,
+    lagrange_bracket,
+    structure_constants,
+)
 from contactflow.curvature import (
     STRUCTURAL_SIGN,
     SectionPlane,
@@ -15,9 +21,12 @@ from contactflow.curvature import (
 from contactflow.harmonics import (
     LAPLACE_SCALE,
     SpectralFunction,
+    SphereGrid,
+    eigenvalue,
     laplace_scale,
+    synthesize,
 )
-from contactflow.metrics import MetricKind, inner
+from contactflow.metrics import MetricKind, energy_inner, inner
 
 
 def single_degree(l, rng):
@@ -35,6 +44,16 @@ def test_section_plane_orthonormalizes():
         assert abs(inner(kind, sig.f, sig.f) - 1.0) < 1e-12
         assert abs(inner(kind, sig.h, sig.h) - 1.0) < 1e-12
         assert abs(inner(kind, sig.f, sig.h)) < 1e-12
+
+
+def test_section_plane_normalizes_kind():
+    f, h = basis_function(2), basis_function(3)
+    sig = SectionPlane(f, h, "right_invariant_L2")
+    assert sig.kind is MetricKind.RIGHT_INVARIANT
+    assert k_right_invariant(sig) == k_right_invariant(
+        SectionPlane(f, h, MetricKind.RIGHT_INVARIANT))
+    with pytest.raises(ValueError):
+        SectionPlane(f, h, "sobolev")
 
 
 def test_section_plane_degenerate_rejected():
@@ -134,12 +153,16 @@ def test_structural_needs_table():
         k_structural({}, 1, 2)
 
 
+def test_structural_rejects_a_degenerate_pair():
+    with pytest.raises(ValueError, match="degenerate"):
+        k_structural(structure_constants(2), 3, 3)
+
+
 def test_projected_covariant_symmetric_part():
     # D q = [f, D h] + [h, D f] is the defining property of q
     rng = np.random.default_rng(7)
     f = single_degree(1, rng)
     h = single_degree(2, rng)
-    from contactflow.bracket import lagrange_bracket
     rec = projected_covariant(f, h)
     want = lagrange_bracket(f, h.helmholtz()) + lagrange_bracket(h, f.helmholtz())
     assert (rec.q.helmholtz() - want).norm_M() < 1e-12
@@ -151,3 +174,74 @@ def test_eigen_mixture_curvature_uses_resolved_sign():
     val = k_structural(table, 1, 8)
     ref = k_eigen(basis_function(1), basis_function(8))
     assert abs(val - ref) < 1e-12
+
+
+
+# The route formulas with one lagrange_bracket call per bracket and one
+# synthesize call per quadrature operand: the batched routes give the same
+# floats.
+
+def unbatched_quad(u, v):
+    grid = SphereGrid.for_integration(u.L + v.L, max(u.L, v.L))
+    return geometry.FIBER_FACTOR * grid.integrate(synthesize(u, grid) * synthesize(v, grid))
+
+
+def unbatched_covariant(f, h):
+    b = lagrange_bracket(f, h)
+    fh = lagrange_bracket(f, h.helmholtz())
+    hf = lagrange_bracket(h, f.helmholtz())
+    return ((0.5 * (b.helmholtz() + fh + hf)).inverse_helmholtz(),
+            (fh + hf).inverse_helmholtz())
+
+
+def unbatched_direct(f, h):
+    b = lagrange_bracket(f, h)
+    lap_f, lap_h = f.laplacian(), h.laplacian()
+    t_sym = lagrange_bracket(lap_f, h) + lagrange_bracket(f, lap_h)
+    q_tilde = lagrange_bracket(f, lap_h) - lagrange_bracket(lap_f, h)
+    ff = lagrange_bracket(f, lap_f)
+    hh = lagrange_bracket(h, lap_h)
+    return (0.25 * unbatched_quad(b, b)
+            - 0.75 * unbatched_quad(b, b.laplacian())
+            + 0.5 * unbatched_quad(b, t_sym)
+            - unbatched_quad(ff, hh.inverse_helmholtz())
+            + 0.25 * unbatched_quad(q_tilde, q_tilde.inverse_helmholtz()))
+
+
+def unbatched_assembled(f, h):
+    b = lagrange_bracket(f, h)
+    q = unbatched_covariant(f, h)[1]
+    return (-0.75 * energy_inner(b, b)
+            - 0.5 * energy_inner(lagrange_bracket(f, b), h)
+            - 0.5 * energy_inner(lagrange_bracket(h, -1.0 * b), f)
+            - energy_inner(unbatched_covariant(f, f)[0], unbatched_covariant(h, h)[0])
+            + 0.25 * energy_inner(q, q))
+
+
+def unbatched_eigen(f, h, lf, lh):
+    alpha, beta = eigenvalue(lf), eigenvalue(lh)
+    sig = SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
+    b = lagrange_bracket(sig.f, sig.h)
+    return (-0.75 * unbatched_quad(b, b.laplacian())
+            + 0.25 * (1.0 + 2.0 * (alpha + beta)) * unbatched_quad(b, b)
+            + 0.25 * (alpha - beta) ** 2 * unbatched_quad(b, b.inverse_helmholtz()))
+
+
+def test_batched_routes_match_unbatched_formulas():
+    rng = np.random.default_rng(8)
+    # (f, h, (lf, lh) for single-degree pairs, else None)
+    planes = [(basis_function(5), basis_function(7), (2, 2)),
+              (basis_function(3), basis_function(10), (1, 3)),
+              (basis_function(14), basis_function(2), (3, 1)),
+              (single_degree(2, rng), single_degree(2, rng), (2, 2)),
+              (single_degree(3, rng), single_degree(1, rng), (3, 1)),
+              (SpectralFunction.random(2, rng), SpectralFunction.random(3, rng), None)]
+    for f, h, degrees in planes:
+        sig_bi = SectionPlane(f, h, MetricKind.BI_INVARIANT)
+        b = lagrange_bracket(sig_bi.f, sig_bi.h)
+        assert k_biinvariant(sig_bi) == 0.25 * unbatched_quad(b, b)
+        sig = SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
+        assert k_right_invariant(sig, "direct") == unbatched_direct(sig.f, sig.h)
+        assert k_right_invariant(sig, "assembled") == unbatched_assembled(sig.f, sig.h)
+        if degrees is not None:
+            assert k_eigen(f, h) == unbatched_eigen(f, h, *degrees)
