@@ -26,8 +26,12 @@ any number of fields, every value and derivative from one Legendre table
 build; a degree-0 u or w has zero derivatives and is not evaluated.
 FrameField.evaluate, contact_field_at and invariant_gradient_frame make
 a plan per call.  The S^3 quadrature of a pairing and its node plan are
-built once per degree and cached read-only, so a pairing evaluates only
-its two fields.
+built once per pair of operand degrees and cached read-only, so a pairing
+evaluates only its two fields.  Its nodes are one fibre node over each
+point of a Gauss grid, exact for the Reeb-invariant integrand of a
+pairing, and its node plan evaluates the potentials by one stacked grid
+synthesis per (degree, tag) instead of scattered Legendre sums; the frame
+and the ambient assembly are the same as at scattered points.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
@@ -43,6 +47,7 @@ from .geometry import SQRT2
 from .harmonics import (
     GridFunction,
     SpectralFunction,
+    SphereGrid,
     _frozen,
     _PointPlan,
     adjoint_analyze,
@@ -63,16 +68,39 @@ def invariant_gradient_frame(f, q):
     return v2f, v3f
 
 
-class _NodePlan:
-    """S^3 points q (..., 4) prepared for field evaluation: the point plan
-    of pi(q), the unit frame, the rotation columns R2, R3 and the spherical
-    unit vectors e_theta, e_lambda at pi(q).  Only the fields change between
-    evaluations on one plan; every array is read-only."""
+class _GridNodes:
+    """The nodes of a SphereGrid, flattened row-major, as a point set:
+    (function, tag) pairs are evaluated by one stacked synthesize per
+    (degree, tag), on the tables of the grid's shared Gauss plan."""
 
-    def __init__(self, q):
+    def __init__(self, grid):
+        self.grid = grid
+
+    def evaluate(self, pairs):
+        """Values of (function, tag) pairs at the nodes, flat."""
+        self.grid.tables(max(f.L for f, _ in pairs))   # one build, then slices
+        groups = {}
+        for i, (f, deriv) in enumerate(pairs):
+            groups.setdefault((f.L, deriv), []).append(i)
+        out = [None] * len(pairs)
+        for (_, deriv), idx in groups.items():
+            stack = np.stack([pairs[i][0].coeffs for i in idx])
+            for i, v in zip(idx, synthesize(stack, self.grid, deriv=deriv)):
+                out[i] = v.ravel()
+        return out
+
+
+class _NodePlan:
+    """S^3 points q (..., 4) prepared for field evaluation: a point set of
+    pi(q) (by default its scattered point plan), the unit frame, the
+    rotation columns R2, R3 and the spherical unit vectors e_theta,
+    e_lambda at pi(q).  Only the fields change between evaluations on one
+    plan; every array is read-only."""
+
+    def __init__(self, q, points=None):
         self.frame, (r1, self.r2, self.r3) = geometry._frame_and_columns(q)
         theta, lam = geometry._sphere_angles(r1)
-        self.points = _PointPlan(theta, lam)
+        self.points = _PointPlan(theta, lam) if points is None else points
         st, ct = np.sin(theta), np.cos(theta)
         sl, cl = np.sin(lam), np.cos(lam)
         self.e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
@@ -114,13 +142,22 @@ class _NodePlan:
 
 
 @functools.lru_cache(maxsize=8)
-def _quadrature(deg):
-    """(QuadratureS3, its node plan) integrating degree-deg pairings of
-    invariant fields exactly; built once per degree, read-only, shared."""
-    quad = geometry.QuadratureS3.build(deg // 2 + 1, deg + 2, 2)
+def _quadrature(La, Lb):
+    """(QuadratureS3, its node plan) integrating pairings of invariant
+    fields of degrees La and Lb exactly; built once per degree pair,
+    read-only, shared.
+
+    The nodes are one fibre node over each point of the Gauss grid
+    SphereGrid.for_integration(La + Lb, max(La, Lb)): exact for the
+    Reeb-invariant integrand of a pairing, whose longitude modes stay
+    below nlon, and alias-free for synthesizing either operand.  The node
+    plan evaluates potentials by grid synthesis on that grid."""
+    grid = SphereGrid.for_integration(La + Lb, max(La, Lb))
+    _frozen(grid.lam)
+    quad = geometry.QuadratureS3.build(grid.nlat, grid.nlon, 1)
     _frozen(quad.nodes)
     _frozen(quad.weights)
-    return quad, _NodePlan(quad.nodes)
+    return quad, _NodePlan(quad.nodes, _GridNodes(grid))
 
 
 class FrameField:

@@ -25,6 +25,7 @@ int_M (F o pi) dmu = pi * int_{S^2} F dOmega and vol(S^3) = 4 pi^2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,13 +431,29 @@ def _random_rotations(rng, n):
 # ---------------------------------------------------------------------------
 # quadrature
 
+def _positive_count(n, needs):
+    """n as an int >= 1; a bool, a non-integer or a smaller value raises
+    ValueError("<needs> to be an integer >= 1, got <n>")."""
+    try:
+        if isinstance(n, (bool, np.bool_)) or operator.index(n) < 1:
+            raise TypeError
+    except TypeError:
+        raise ValueError("%s to be an integer >= 1, got %r" % (needs, n)) from None
+    return operator.index(n)
+
+
 @dataclass(frozen=True)
 class QuadratureS3:
     """Product quadrature over S^3 in Hopf coordinates.
 
     Exact for Reeb-invariant integrands whose base part is a spherical
-    polynomial of degree <= 2*nlat - 1 (Gauss-Legendre in colatitude,
-    trapezoid in longitude and fibre angle).  Weights sum to vol(S^3).
+    polynomial of degree <= 2*nlat - 1 with longitude modes below nlon
+    (Gauss-Legendre in colatitude, trapezoid in longitude and fibre angle).
+    A Reeb-invariant integrand is constant along each fibre, so nfib = 1,
+    one node per fibre on the section lift, is already exact for it; more
+    fibre nodes only serve integrands that vary along the fibres.  Nodes
+    run colatitude-major, then longitude, then fibre angle.  Weights sum
+    to vol(S^3).  nlat, nlon and nfib must be integers >= 1.
     """
     nodes: np.ndarray    # (N, 4)
     weights: np.ndarray  # (N,)
@@ -445,6 +462,8 @@ class QuadratureS3:
     def build(cls, nlat=12, nlon=24, nfib=8):
         from .harmonics import _plan
 
+        nlat, nlon, nfib = (_positive_count(n, "QuadratureS3.build needs " + name)
+                            for n, name in ((nlat, "nlat"), (nlon, "nlon"), (nfib, "nfib")))
         gauss = _plan(nlat)
         lam = 2.0 * np.pi * np.arange(nlon) / nlon
         psi = 2.0 * np.pi * np.arange(nfib) / nfib

@@ -37,8 +37,9 @@ the nodes' weights and theta, so a fresh grid per bracket costs no table
 build.  A point plan prepares scattered points, adding the cos/sin(m lam)
 rows that grow with its tables, then evaluates any number of (function,
 tag) pairs on them: a one-shot point set builds its plan per call, a plan
-kept for fixed nodes, such as a quadrature's, builds its tables once.  All
-plan arrays are read-only.
+kept for fixed nodes builds its tables once.  Nodes that form a grid, such
+as the S^3 quadrature's, are evaluated by synthesis on the grid instead.
+All plan arrays are read-only.
 """
 
 from __future__ import annotations

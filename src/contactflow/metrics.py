@@ -9,7 +9,10 @@ Both metrics are implemented along two independent paths: a spectral path
 (diagonal in the eigenbasis) and a quadrature path (pointwise fields
 integrated over S^3); their agreement is one of the package's standing
 checks.  The quadrature path takes its nodes, weights and node plan from
-the one cached quadrature per degree that dmu_inner also uses.
+the one cached quadrature per pair of operand degrees that dmu_inner also
+uses: one fibre node per Gauss grid point, the potentials synthesized on
+the grid, the pairing integrated pointwise.  A float operand is read as
+a constant Hamiltonian.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import enum
 import numpy as np
 
 from . import geometry
-from .fields import _quadrature, contact_field
+from .fields import _as_spectral, _quadrature, contact_field
 from .harmonics import inner_M
 
 
@@ -37,14 +40,15 @@ def inner(kind, f, h, method="spectral"):
     """
     if not isinstance(kind, MetricKind):
         kind = MetricKind(kind)
+    f, h = _as_spectral(f), _as_spectral(h)
     if method == "spectral":
         if kind is MetricKind.BI_INVARIANT:
             return inner_M(f, h)
         return inner_M(f, h.helmholtz())
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)
-    quad, nodes = _quadrature(f.L + h.L)
-    # both operands on the degree's shared node plan
+    quad, nodes = _quadrature(f.L, h.L)
+    # both operands on the degree pair's shared node plan
     if kind is MetricKind.BI_INVARIANT:
         fv, hv = nodes.points.evaluate([(f, None), (h, None)])
         vals = fv * hv

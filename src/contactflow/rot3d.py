@@ -18,10 +18,11 @@ The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
 flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
-pairing integrates over the one cached S^3 quadrature per degree, whose
-nodes, frame and Legendre tables are built once and shared with
-metrics.inner, and the metric reads q i from its frame.  rot_report
-evaluates every residual on one node plan of its check points.
+pairing integrates over the one cached S^3 quadrature per pair of operand
+degrees, shared with metrics.inner: one fibre node over each point of a
+Gauss grid, with its frame built once and the potentials synthesized on
+the grid, and the metric reads q i from its frame.  rot_report evaluates
+every residual on one node plan of its check points.
 """
 
 from __future__ import annotations
@@ -121,7 +122,9 @@ def dmu_inner(f, h):
     The Hamiltonian f splits as constant + mean-zero; the constant rides on
     the fixed point rot xi = xi, the rest through the closed-form inverse.
     rot^-1 X_f and X_h are evaluated on the node plan of the cached
-    quadrature for their degree, so only the two fields are new per call.
+    quadrature for their two degrees, by grid synthesis on its Gauss grid,
+    and g(X, Y) of their ambient values is integrated pointwise, so only
+    the two fields are new per call.
     """
     f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
@@ -131,7 +134,7 @@ def dmu_inner(f, h):
     else:
         pre = FrameField(SpectralFunction.constant(c) - f0, 0.0,
                          2.0 * f0.inverse_laplacian())
-    quad, nodes = _quadrature(pre.degree + h.L)
+    quad, nodes = _quadrature(pre.degree, h.L)
     Xpre, Xh = nodes.ambient([pre, contact_field(h)])
     vals = geometry._metric_qi(nodes.frame[0], Xpre, Xh)
     return float(np.dot(quad.weights, vals))
@@ -150,8 +153,9 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     residual checks."""
     from .metrics import biinvariant_inner
 
-    if min(L, n_pairs, n_points) < 1:
-        raise ValueError("rot_report needs L, n_pairs and n_points >= 1")
+    L, n_pairs, n_points = (geometry._positive_count(n, "rot_report needs " + name)
+                            for n, name in ((L, "L"), (n_pairs, "n_pairs"),
+                                            (n_points, "n_points")))
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((n_points, 4))
     pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)

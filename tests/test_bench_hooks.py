@@ -6,7 +6,8 @@ constructs its grid.  The same spans count Legendre table builds per
 scattered point set, also when several fields share one set (a pairing
 by quadrature) and in the finite-difference oracles' stencils, and show
 that a pairing by quadrature builds its nodes and tables once per
-degree, and that the curl suite prepares each of its point sets once.
+degree pair and synthesizes its operands on a Gauss grid, and that the
+curl suite prepares each of its point sets once.
 The curvature routes batch their brackets and quadrature operands: one
 synthesize call per tag per grid, not per bracket."""
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 import contactflow as cf
-from contactflow import fields, flow, geometry
+from contactflow import fields, flow, geometry, harmonics
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import MetricKind, inner
@@ -106,11 +107,12 @@ def test_one_legendre_build_per_point_set():
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
     # two fields at one set of quadrature nodes share the build, and the
-    # nodes and their tables are built once per quadrature degree
+    # nodes and their grid's tables are built once per quadrature degree pair
     pairings = [lambda: dmu_inner(f.mean_free(), u.mean_free())]
     pairings += [partial(inner, kind, f, u, method="quadrature") for kind in MetricKind]
     for pairing in pairings:
         fields._quadrature.cache_clear()
+        harmonics._plan.cache_clear()
         calls = traced_calls(pairing)
         assert calls["harmonics.legendre_tables"] == 1
         calls = traced_calls(pairing)
@@ -140,6 +142,23 @@ def test_rot_report_prepares_each_point_set_once():
     # 6 per node plan (4), 1 per stencil circle (3) and 3 for the unit
     # frame of each stencil's metric components (3)
     assert calls["geometry.qmul"] == 36
+
+
+def test_warm_pairing_synthesizes_on_its_gauss_grid():
+    # a rot_suite pairing at L = 12: one synthesize per tag on the cached
+    # 13 x 26 Gauss grid, no Legendre table and no quadrature build
+    rng = np.random.default_rng(3)
+    f, h = (SpectralFunction.random(12, rng, lmin=1) for _ in range(2))
+    pairings = [lambda: dmu_inner(f, h)]
+    pairings += [partial(inner, kind, f, h, method="quadrature") for kind in MetricKind]
+    for pairing in pairings:
+        pairing()
+        calls = traced_calls(pairing)
+        assert calls.get("harmonics.legendre_tables", 0) == 0
+        assert calls.get("geometry.QuadratureS3.build", 0) == 0
+        assert 1 <= calls["harmonics.synthesize"] <= 3
+    grid = fields._quadrature(12, 12)[1].points.grid
+    assert (grid.nlat, grid.nlon) == (13, 26)
 
 
 def test_metric_takes_qi_from_the_plan():

@@ -129,6 +129,21 @@ def test_quadrature_nodes_are_the_grid_plans_gauss_nodes():
         assert np.array_equal(quad.weights, weights)
 
 
+@pytest.mark.parametrize("sizes", [(3, 4, -2), (0, 4, 2), (3, 0, 2), (3, 4, 0),
+                                   (True, 4, 2), (3, 4, np.bool_(True)),
+                                   (3.0, 4, 2), (3, 4.5, 2), ("3", 4, 2)])
+def test_quadrature_rejects_bad_sizes(sizes):
+    # an empty rule would integrate everything to 0.0
+    with pytest.raises(ValueError, match="QuadratureS3.build needs n[a-z]+ to be an integer >= 1"):
+        QuadratureS3.build(*sizes)
+
+
+def test_quadrature_takes_numpy_integers():
+    quad = QuadratureS3.build(np.int64(3), np.int32(4), np.int64(1))
+    assert quad.nodes.shape == (12, 4)
+    assert abs(np.sum(quad.weights) - VOL_S3) < 1e-12
+
+
 def test_frame_derivative_on_linear_function():
     # f(q) = q . e has v_i f = (q ihat_i / speed_i) . e exactly
     rng = np.random.default_rng(7)

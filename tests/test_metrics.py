@@ -10,6 +10,7 @@ from contactflow.metrics import (
     inner,
     metric_relation_residual,
 )
+from contactflow.rot3d import dmu_inner
 
 
 def test_spectral_vs_quadrature_energy():
@@ -70,3 +71,30 @@ def test_unknown_method_rejected():
     f = SpectralFunction.constant(1.0)
     with pytest.raises(ValueError):
         inner(MetricKind.BI_INVARIANT, f, f, method="symbolic")
+
+
+@pytest.mark.parametrize("La, Lb", [(0, 7), (7, 0), (1, 12), (12, 1), (0, 0),
+                                    (24, 24), (32, 32)])
+def test_quadrature_pairings_match_spectral_at_any_degree_pair(La, Lb):
+    # the quadrature grid must integrate degree La + Lb and synthesize
+    # max(La, Lb) alias-free in longitude; errors are scaled by the
+    # Cauchy-Schwarz bound of each pairing
+    rng = np.random.default_rng(La * 100 + Lb)
+    f, h = SpectralFunction.random(La, rng), SpectralFunction.random(Lb, rng)
+    # rot^-1 X_f pairs as the constant part of f on xi and -3 on the rest
+    want = inner_M(SpectralFunction.constant(f.mean_M()) - 3.0 * f.mean_free(), h)
+    assert abs(dmu_inner(f, h) - want) < 1e-13 * 3.0 * f.norm_M() * h.norm_M()
+    for kind in MetricKind:
+        s = inner(kind, f, h)
+        q = inner(kind, f, h, method="quadrature")
+        assert abs(s - q) < 1e-13 * np.sqrt(inner(kind, f, f) * inner(kind, h, h))
+
+
+@pytest.mark.parametrize("method", ["spectral", "quadrature"])
+def test_inner_takes_float_operands(method):
+    h = SpectralFunction.random(3, np.random.default_rng(5))
+    one = SpectralFunction.constant(1.0)
+    for kind in MetricKind:
+        want = inner(kind, one, h, method=method)
+        assert inner(kind, 1.0, h, method=method) == want
+        assert inner(kind, h, 1.0, method=method) == inner(kind, h, one, method=method)

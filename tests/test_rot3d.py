@@ -176,3 +176,16 @@ def test_report_rejects_empty_samples(kwargs):
     # would never finish; with no pairs or points a check checks nothing
     with pytest.raises(ValueError, match="rot_report needs"):
         rot_report(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"L": True}, {"n_pairs": 2.5}, {"n_points": 3.0},
+                                    {"L": np.float64(4)}, {"n_pairs": "3"}])
+def test_report_rejects_non_integer_sizes(kwargs):
+    # n_pairs = 2.5 used to run 3 pairings and L = True to run as L = 1
+    with pytest.raises(ValueError, match="rot_report needs"):
+        rot_report(**kwargs)
+
+
+def test_report_takes_numpy_integers():
+    rep = rot_report(L=np.int64(3), seed=2, n_pairs=np.int64(2), n_points=np.int32(6))
+    assert [c["passed"] for c in rep] == [True] * 7
