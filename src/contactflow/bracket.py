@@ -82,6 +82,7 @@ def basis_size(L):
 
 def basis_lm(i):
     """Basis enumeration: i -> (l, m), ordered by degree then by m."""
+    i = geometry._positive_count(i, "a basis index needs i", least=0)
     l = int(np.floor(np.sqrt(i)))
     return l, i - l * l - l
 

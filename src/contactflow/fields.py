@@ -141,23 +141,30 @@ class _NodePlan:
                 for c1, c2, c3 in self.components(fields)]
 
 
-@functools.lru_cache(maxsize=8)
 def _quadrature(La, Lb):
     """(QuadratureS3, its node plan) integrating pairings of invariant
-    fields of degrees La and Lb exactly; built once per degree pair,
-    read-only, shared.
+    fields of degrees La and Lb exactly; built once per unordered degree
+    pair, read-only, shared.
 
     The nodes are one fibre node over each point of the Gauss grid
     SphereGrid.for_integration(La + Lb, max(La, Lb)): exact for the
     Reeb-invariant integrand of a pairing, whose longitude modes stay
     below nlon, and alias-free for synthesizing either operand.  The node
     plan evaluates potentials by grid synthesis on that grid."""
-    grid = SphereGrid.for_integration(La + Lb, max(La, Lb))
-    _frozen(grid.lam)
+    return _quadrature_of(min(La, Lb), max(La, Lb))
+
+
+@functools.lru_cache(maxsize=8)
+def _quadrature_of(La, Lb):
+    grid = SphereGrid.for_integration(La + Lb, Lb)
     quad = geometry.QuadratureS3.build(grid.nlat, grid.nlon, 1)
     _frozen(quad.nodes)
     _frozen(quad.weights)
     return quad, _NodePlan(quad.nodes, _GridNodes(grid))
+
+
+_quadrature.cache_info = _quadrature_of.cache_info
+_quadrature.cache_clear = _quadrature_of.cache_clear
 
 
 class FrameField:

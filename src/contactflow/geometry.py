@@ -431,14 +431,14 @@ def _random_rotations(rng, n):
 # ---------------------------------------------------------------------------
 # quadrature
 
-def _positive_count(n, needs):
-    """n as an int >= 1; a bool, a non-integer or a smaller value raises
-    ValueError("<needs> to be an integer >= 1, got <n>")."""
+def _positive_count(n, needs, least=1):
+    """n as an int >= least; a bool, a non-integer or a smaller value raises
+    ValueError("<needs> to be an integer >= <least>, got <n>")."""
     try:
-        if isinstance(n, (bool, np.bool_)) or operator.index(n) < 1:
+        if isinstance(n, (bool, np.bool_)) or operator.index(n) < least:
             raise TypeError
     except TypeError:
-        raise ValueError("%s to be an integer >= 1, got %r" % (needs, n)) from None
+        raise ValueError("%s to be an integer >= %d, got %r" % (needs, least, n)) from None
     return operator.index(n)
 
 
@@ -460,12 +460,12 @@ class QuadratureS3:
 
     @classmethod
     def build(cls, nlat=12, nlon=24, nfib=8):
-        from .harmonics import _plan
+        from .harmonics import _longitudes, _plan
 
         nlat, nlon, nfib = (_positive_count(n, "QuadratureS3.build needs " + name)
                             for n, name in ((nlat, "nlat"), (nlon, "nlon"), (nfib, "nfib")))
         gauss = _plan(nlat)
-        lam = 2.0 * np.pi * np.arange(nlon) / nlon
+        lam = _longitudes(nlon)
         psi = 2.0 * np.pi * np.arange(nfib) / nfib
         th_g, lm_g, ps_g = np.meshgrid(gauss.theta, lam, psi, indexing="ij")
         base = section_lift(th_g.ravel(), lm_g.ravel())

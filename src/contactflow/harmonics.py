@@ -17,14 +17,19 @@ calibrated metric.  laplace_scale() re-measures it on every call against
 the frame-derivative oracle of the geometry module; a test holds the two
 equal, and `contactflow calibrate` reports the measured value.
 
-Every transform runs through one kernel pair: _forward maps coefficients
-to the per-order amplitudes (a_m, b_m) of cos(m lam) and sin(m lam) at
-each colatitude node, and _adjoint is its transpose.  A derivative tag
-picks the Legendre table and a 2x2 map per order on (a_m, b_m): the
-identity for the function and d/dtheta, the rotation
-(a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables vanish at
-l < m, so the sum over l is one batched product over all orders.  Leading
-axes are batch axes: synthesize takes a stack of coefficient arrays and
+Every transform is two matmuls.  The Legendre step is one kernel pair:
+_forward maps coefficients to the per-order amplitudes (a_m, b_m) of
+cos(m lam) and sin(m lam) at each colatitude node, and _adjoint is its
+transpose.  A derivative tag picks the Legendre table and a 2x2 map per
+order on (a_m, b_m): the identity for the function and d/dtheta, the
+rotation (a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables
+vanish at l < m, so the sum over l is one batched product over all orders.
+The longitude step is a product with the cached rows cos(m lam_k),
+sin(m lam_k), m <= L, of the grid's nlon: synthesis sums
+a_m cos + b_m sin over the rows, the same form as a point plan's, and
+analysis multiplies the values by the rows' transpose.  Only the orders
+m <= L are ever formed, for any nlon, odd or prime.  Leading axes are
+batch axes: synthesize takes a stack of coefficient arrays and
 adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
 its own call.  The per-order maps are built once per (tag, degree) and
 shared read-only.
@@ -33,13 +38,14 @@ One table plan holds x = cos theta and the Legendre tables at x, grown to
 the largest degree asked and sliced below it; a build loops over degree
 and updates all orders at once, O(L) Python steps.  A grid is a view of a
 shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
-the nodes' weights and theta, so a fresh grid per bracket costs no table
-build.  A point plan prepares scattered points, adding the cos/sin(m lam)
-rows that grow with its tables, then evaluates any number of (function,
-tag) pairs on them: a one-shot point set builds its plan per call, a plan
-kept for fixed nodes builds its tables once.  Nodes that form a grid, such
-as the S^3 quadrature's, are evaluated by synthesis on the grid instead.
-All plan arrays are read-only.
+the nodes' weights and theta, and of a longitude plan, one per nlon, which
+holds lam and the rows, grown and sliced like the tables; a fresh grid per
+bracket builds neither.  A point plan prepares scattered points, adding
+the cos/sin(m lam) rows that grow with its tables, then evaluates any
+number of (function, tag) pairs on them: a one-shot point set builds its
+plan per call, a plan kept for fixed nodes builds its tables once.
+Nodes that form a grid, such as the S^3 quadrature's, are evaluated by
+synthesis on the grid instead.  All plan arrays are read-only.
 """
 
 from __future__ import annotations
@@ -153,23 +159,59 @@ def _plan(nlat):
     return _GaussPlan(nlat)
 
 
+def _longitudes(nlon):
+    """The nlon equiangular longitudes 2 pi k / nlon of every grid."""
+    return 2.0 * np.pi * np.arange(nlon) / nlon
+
+
+class _LonPlan:
+    """One nlon's longitudes and the rows cos(m lam), sin(m lam) in
+    (m, cos/sin) order, the longitude step of every grid transform.  The
+    rows grow to the largest L asked and are sliced below it; read-only.
+
+    m lam_k is the longitude lam_(mk mod nlon), so every row entry is the
+    cos or sin of one of the nlon longitudes, reduced exactly in integers
+    rather than from a rounded product m * lam_k."""
+
+    def __init__(self, nlon):
+        self.lam = _frozen(_longitudes(nlon))
+        self._cos_sin = _frozen(np.stack([np.cos(self.lam), np.sin(self.lam)]))
+        self._built = (-1, None)    # (degree, rows), replaced as one value
+
+    def rows(self, L):
+        """(2(L+1), nlon): row 2m is cos(m lam), row 2m + 1 is sin(m lam)."""
+        built, rows = self._built
+        if L > built:
+            nlon = self.lam.size
+            mk = np.arange(L + 1)[:, None] * np.arange(nlon) % nlon
+            rows = _frozen(np.swapaxes(self._cos_sin[:, mk], 0, 1)
+                           .reshape(2 * (L + 1), nlon))
+            self._built = (L, rows)
+        return rows[: 2 * (L + 1)]
+
+
+@functools.lru_cache(maxsize=32)
+def _lon_plan(nlon):
+    return _LonPlan(nlon)
+
+
 class SphereGrid:
     """Gauss-Legendre (colatitude) x equiangular (longitude) grid.
 
     for_degree(L) builds a grid on which analysis of band-L functions is
     quadrature-exact and synthesis of any degree <= L is alias-free; this
     exceeds the 3/2-rule resolution for quadratic products at the same L.
-    x, w, theta and the tables are the read-only arrays of the nlat plan.
+    x, w, theta and the tables are the read-only arrays of the nlat plan,
+    lam and the longitude rows those of the nlon plan.
     """
 
     def __init__(self, nlat, nlon):
-        if nlat < 1 or nlon < 2:
-            raise ValueError("grid must have nlat >= 1, nlon >= 2")
-        self.nlat = nlat
-        self.nlon = nlon
-        self._plan = _plan(nlat)
+        self.nlat = geometry._positive_count(nlat, "SphereGrid needs nlat")
+        self.nlon = geometry._positive_count(nlon, "SphereGrid needs nlon", least=2)
+        self._plan = _plan(self.nlat)
+        self._lon = _lon_plan(self.nlon)
         self.x, self.w, self.theta = self._plan.x, self._plan.w, self._plan.theta
-        self.lam = 2.0 * np.pi * np.arange(nlon) / nlon
+        self.lam = self._lon.lam
 
     @classmethod
     def for_degree(cls, L):
@@ -490,8 +532,9 @@ def _analysis(values, grid, L, deriv):
         raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
     name, R = _symbol(deriv, L)
     weights = grid.w * (2.0 * np.pi / grid.nlon)
-    C = np.swapaxes(np.fft.rfft(values, axis=-1)[..., :L + 1], -1, -2) * weights
-    return _adjoint(np.stack([C.real, -C.imag], axis=-1), grid.tables(L)[name], R)
+    ab = np.matmul(values, grid._lon.rows(L).T) * weights[:, None]   # [..., j, (m, a/b)]
+    ab = np.swapaxes(ab.reshape(ab.shape[:-1] + (L + 1, 2)), -3, -2)  # [..., m, j, a/b]
+    return _adjoint(ab, grid.tables(L)[name], R)
 
 
 def synthesize(f, grid, deriv=None):
@@ -509,10 +552,9 @@ def synthesize(f, grid, deriv=None):
     if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude for degree %d" % L)
     name, R = _symbol(deriv, L)
-    ab = _forward(coeffs, grid.tables(L)[name], R)
-    C = ab[..., 0, :] - 1j * ab[..., 1, :]
-    C[..., 1:, :] *= 0.5
-    return np.fft.irfft(np.swapaxes(C, -1, -2), n=grid.nlon, axis=-1, norm="forward")
+    ab = _forward(coeffs, grid.tables(L)[name], R)                     # [..., m, a/b, j]
+    ab = np.swapaxes(ab.reshape(ab.shape[:-3] + (2 * (L + 1), grid.nlat)), -1, -2)
+    return np.matmul(ab, grid._lon.rows(L))
 
 
 def analyze(g, L=None):

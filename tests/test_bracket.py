@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,21 @@ def test_basis_indexing():
         assert basis_index(l, m) == i
     f = basis_function(3)
     assert abs(inner_M(f, f) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("call", [basis_lm, basis_function])
+@pytest.mark.parametrize("i", [-1, -3, 2.5, True])
+def test_bad_basis_index_rejected(call, i):
+    # a negative index used to reach sqrt and fail on NaN after a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="basis index needs i to be an integer >= 0"):
+            call(i)
+
+
+def test_basis_index_takes_numpy_integers():
+    assert basis_lm(np.int64(5)) == (2, -1)
+    assert basis_lm(0) == (0, 0)
 
 
 def test_structure_constants_frozen_value():

@@ -157,6 +157,22 @@ def test_cached_quadrature_matches_a_cold_one_whatever_came_first():
             assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
 
 
+def test_quadrature_is_shared_by_both_orders_of_a_degree_pair():
+    rng = np.random.default_rng(14)
+    f, h = SpectralFunction.random(3, rng), SpectralFunction.random(5, rng)
+    cold = []
+    for a, b in ((f, h), (h, f)):
+        fields._quadrature.cache_clear()
+        cold.append(dmu_inner(a, b))
+    fields._quadrature.cache_clear()
+    warm = [dmu_inner(f, h), dmu_inner(h, f)]
+    info = fields._quadrature.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert fields._quadrature(5, 3) is fields._quadrature(3, 5)
+    # one plan for both orders gives each pairing the bits of its own plan
+    assert warm == cold
+
+
 def test_quadrature_plans_are_read_only_and_bounded():
     rng = np.random.default_rng(11)
     fields._quadrature.cache_clear()

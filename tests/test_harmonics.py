@@ -170,6 +170,20 @@ def test_point_plan_builds_once_at_the_largest_degree():
     assert calls["harmonics.legendre_tables"] == 1
 
 
+@pytest.mark.parametrize("nlat, nlon, name", [
+    (3, 4.5, "nlon"), (True, 4, "nlat"), (2.5, 4, "nlat"), (0, 4, "nlat"),
+    (3, 1, "nlon"), (3, np.bool_(True), "nlon"), ("3", 4, "nlat")])
+def test_sphere_grid_rejects_bad_sizes(nlat, nlon, name):
+    with pytest.raises(ValueError, match="SphereGrid needs %s to be an integer" % name):
+        SphereGrid(nlat, nlon)
+
+
+def test_sphere_grid_takes_numpy_integer_sizes():
+    grid = SphereGrid(np.int64(3), np.int32(5))
+    assert (grid.nlat, grid.nlon) == (3, 5) and type(grid.nlon) is int
+    assert grid.lam.shape == (5,)
+
+
 def test_for_degree_is_the_full_degree_integration_grid():
     for L in range(41):
         a, b = SphereGrid.for_degree(L), SphereGrid.for_integration(2 * L, L)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactflow import harmonics
 from contactflow.harmonics import (
     SQRT_2PI,
     SQRT_PI,
@@ -122,3 +123,59 @@ def test_unknown_tag_rejected():
         adjoint_analyze(np.zeros((grid.nlat, grid.nlon)), grid, 2, "dphi")
     with pytest.raises(ValueError):
         f.evaluate_base(0.3, 0.4, deriv="dphi")
+
+
+@pytest.mark.parametrize("nlat, nlon, L", [(7, 13, 5), (9, 31, 8)])
+def test_odd_and_prime_nlon_round_trip_and_mode_sum(nlat, nlon, L):
+    # the longitude step forms only the orders m <= L, for any nlon
+    rng = np.random.default_rng(nlon)
+    f = SpectralFunction.random(L, rng)
+    grid = SphereGrid(nlat, nlon)
+    assert np.max(np.abs(analyze(f.to_grid(grid), L).coeffs - f.coeffs)) < 1e-13
+    th, lam = np.meshgrid(grid.theta, grid.lam, indexing="ij")
+    for tag in TAGS:
+        want = reference_values(f, th.ravel(), lam.ravel(), tag).reshape(th.shape)
+        assert np.max(np.abs(synthesize(f, grid, deriv=tag) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("L", [32, 64])
+def test_longitude_step_matches_an_fft_oracle(L):
+    # the flow's bracket grid at degree L (49 x 98 at L = 32); the oracle
+    # runs the same per-order amplitudes through numpy's real FFT
+    rng = np.random.default_rng(L)
+    grid = SphereGrid.for_integration(3 * L, L)
+    weights = grid.w * (2.0 * np.pi / grid.nlon)
+    coeffs = np.stack([SpectralFunction.random(L, rng).coeffs for _ in range(2)])
+    values = rng.standard_normal((2, grid.nlat, grid.nlon))
+    for tag in TAGS:
+        name, R = harmonics._symbol(tag, L)
+        table = grid.tables(L)[name]
+        C = harmonics._forward(coeffs, table, R)
+        C = C[..., 0, :] - 1j * C[..., 1, :]
+        C[..., 1:, :] *= 0.5
+        want = np.fft.irfft(np.swapaxes(C, -1, -2), n=grid.nlon, axis=-1, norm="forward")
+        got = synthesize(coeffs, grid, deriv=tag)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+        C = np.swapaxes(np.fft.rfft(values, axis=-1)[..., :L + 1], -1, -2) * weights
+        want = harmonics._adjoint(np.stack([C.real, -C.imag], axis=-1), table, R)
+        got = adjoint_analyze(values, grid, L, tag)
+        assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
+def test_longitude_rows_are_read_only_slices_of_one_build():
+    harmonics._lon_plan.cache_clear()
+    plan = harmonics._lon_plan(31)
+    low = plan.rows(5).copy()
+    high = plan.rows(14)
+    assert high.shape == (30, 31)
+    assert np.array_equal(high[:12], low)
+    assert np.array_equal(harmonics._LonPlan(31).rows(5), low)
+    assert np.shares_memory(plan.rows(5), high)
+    m = np.arange(15)[:, None]
+    assert np.max(np.abs(high[0::2] - np.cos(m * plan.lam))) < 1e-13
+    assert np.max(np.abs(high[1::2] - np.sin(m * plan.lam))) < 1e-13
+    a, b = SphereGrid(9, 31), SphereGrid(4, 31)
+    assert a.lam is b.lam is plan.lam
+    for arr in (high, plan.rows(3), a.lam):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
