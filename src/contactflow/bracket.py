@@ -53,8 +53,8 @@ def _brackets(pairs, L_out=None):
     """[f, h] of each (f, h) pair, bit-for-bit its own lagrange_bracket:
     the pairs of one (D, L, L_in) share that bracket's grid, one synthesize
     call per tag and one analysis."""
-    if L_out is not None and L_out < 0:
-        raise ValueError("L_out must be >= 0, got %r" % (L_out,))
+    if L_out is not None:
+        L_out = geometry._positive_count(L_out, "lagrange_bracket needs L_out", least=0)
     groups = {}
     for n, (f, h) in enumerate(pairs):
         D = f.L + h.L

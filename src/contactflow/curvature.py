@@ -13,7 +13,7 @@ metric and cross-validated:
 The routes share no bracket or operand, since their agreement is the
 check.  Within a route, the distinct brackets of one dependency level are
 one batched call, bit-for-bit the single brackets, and the quadratures
-synthesize each distinct operand once per grid.
+(harmonics._quad_inners) synthesize each distinct operand once per grid.
 
 The structure-constant form carries an unresolved overall sign in its
 source.  Matching it against the eigenfunction form fixes STRUCTURAL_SIGN
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .bracket import (
     StructureConstants,
     _brackets,
@@ -38,7 +37,7 @@ from .bracket import (
     lagrange_bracket,
     structure_constants,
 )
-from .harmonics import SphereGrid, SpectralFunction, eigenvalue, synthesize
+from .harmonics import SpectralFunction, _quad_inners, eigenvalue, quad_inner_M
 from .metrics import MetricKind, energy_inner, inner
 
 DEGENERACY_TOL = 1e-12
@@ -64,28 +63,6 @@ class SectionPlane:
             raise ValueError("degenerate plane: spanning functions are parallel")
         object.__setattr__(self, "f", fhat)
         object.__setattr__(self, "h", h_perp * (1.0 / nh))
-
-
-def quad_inner_M(u, v):
-    """int_M u v dmu by grid quadrature (independent of Parseval)."""
-    return _quad_inners([(u, v)])[0]
-
-
-def _quad_inners(pairs):
-    """quad_inner_M of each (u, v) pair, bit-for-bit, each on its own grid:
-    a grid synthesizes each distinct operand (by identity) once, in one
-    stacked call per degree."""
-    keys = [(u.L + v.L, max(u.L, v.L)) for u, v in pairs]
-    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
-    stacks = {}
-    for key, pair in zip(keys, pairs):
-        for w in pair:
-            stacks.setdefault((key, w.L), {})[key, id(w)] = w.coeffs
-    vals = {}
-    for (key, _), ops in stacks.items():
-        vals.update(zip(ops, synthesize(np.stack(list(ops.values())), grids[key])))
-    return [geometry.FIBER_FACTOR * grids[key].integrate(vals[key, id(u)] * vals[key, id(v)])
-            for key, (u, v) in zip(keys, pairs)]
 
 
 def k_biinvariant(sigma):

@@ -25,20 +25,17 @@ q k, and e_theta, e_lambda at pi(q).  It then assembles ambient values of
 any number of fields, every value and derivative from one Legendre table
 build; a degree-0 u or w has zero derivatives and is not evaluated.
 FrameField.evaluate, contact_field_at and invariant_gradient_frame make
-a plan per call.  The S^3 quadrature of a pairing and its node plan are
-built once per pair of operand degrees and cached read-only, so a pairing
-evaluates only its two fields.  Its nodes are one fibre node over each
-point of a Gauss grid, exact for the Reeb-invariant integrand of a
-pairing, and its node plan evaluates the potentials by one stacked grid
-synthesis per (degree, tag) instead of scattered Legendre sums; the frame
-and the ambient assembly are the same as at scattered points.
+a plan per call.
+
+A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
+Reeb-invariant, so it is integrated on the section lift over the Gauss
+grid SphereGrid.for_integration(deg X + deg Y, max degree), where the
+unit-frame components are the grids of FrameField.components.
 
 A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -68,39 +65,16 @@ def invariant_gradient_frame(f, q):
     return v2f, v3f
 
 
-class _GridNodes:
-    """The nodes of a SphereGrid, flattened row-major, as a point set:
-    (function, tag) pairs are evaluated by one stacked synthesize per
-    (degree, tag), on the tables of the grid's shared Gauss plan."""
-
-    def __init__(self, grid):
-        self.grid = grid
-
-    def evaluate(self, pairs):
-        """Values of (function, tag) pairs at the nodes, flat."""
-        self.grid.tables(max(f.L for f, _ in pairs))   # one build, then slices
-        groups = {}
-        for i, (f, deriv) in enumerate(pairs):
-            groups.setdefault((f.L, deriv), []).append(i)
-        out = [None] * len(pairs)
-        for (_, deriv), idx in groups.items():
-            stack = np.stack([pairs[i][0].coeffs for i in idx])
-            for i, v in zip(idx, synthesize(stack, self.grid, deriv=deriv)):
-                out[i] = v.ravel()
-        return out
-
-
 class _NodePlan:
-    """S^3 points q (..., 4) prepared for field evaluation: a point set of
-    pi(q) (by default its scattered point plan), the unit frame, the
-    rotation columns R2, R3 and the spherical unit vectors e_theta,
-    e_lambda at pi(q).  Only the fields change between evaluations on one
-    plan; every array is read-only."""
+    """S^3 points q (..., 4) prepared for field evaluation: the point plan
+    of pi(q), the unit frame, the rotation columns R2, R3 and the
+    spherical unit vectors e_theta, e_lambda at pi(q).  Only the fields
+    change between evaluations on one plan; every array is read-only."""
 
-    def __init__(self, q, points=None):
+    def __init__(self, q):
         self.frame, (r1, self.r2, self.r3) = geometry._frame_and_columns(q)
         theta, lam = geometry._sphere_angles(r1)
-        self.points = _PointPlan(theta, lam) if points is None else points
+        self.points = _PointPlan(theta, lam)
         st, ct = np.sin(theta), np.cos(theta)
         sl, cl = np.sin(lam), np.cos(lam)
         self.e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
@@ -139,32 +113,6 @@ class _NodePlan:
         v1, v2, v3 = self.frame
         return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
                 for c1, c2, c3 in self.components(fields)]
-
-
-def _quadrature(La, Lb):
-    """(QuadratureS3, its node plan) integrating pairings of invariant
-    fields of degrees La and Lb exactly; built once per unordered degree
-    pair, read-only, shared.
-
-    The nodes are one fibre node over each point of the Gauss grid
-    SphereGrid.for_integration(La + Lb, max(La, Lb)): exact for the
-    Reeb-invariant integrand of a pairing, whose longitude modes stay
-    below nlon, and alias-free for synthesizing either operand.  The node
-    plan evaluates potentials by grid synthesis on that grid."""
-    return _quadrature_of(min(La, Lb), max(La, Lb))
-
-
-@functools.lru_cache(maxsize=8)
-def _quadrature_of(La, Lb):
-    grid = SphereGrid.for_integration(La + Lb, Lb)
-    quad = geometry.QuadratureS3.build(grid.nlat, grid.nlon, 1)
-    _frozen(quad.nodes)
-    _frozen(quad.weights)
-    return quad, _NodePlan(quad.nodes, _GridNodes(grid))
-
-
-_quadrature.cache_info = _quadrature_of.cache_info
-_quadrature.cache_clear = _quadrature_of.cache_clear
 
 
 class FrameField:
@@ -272,3 +220,12 @@ def contact_field(f):
 def contact_field_at(f, q):
     """Ambient values of X_f at S^3 points (..., 4)."""
     return _NodePlan(q).ambient([FrameField.contact(f)])[0]
+
+
+def _quad_g_inner_M(X, Y):
+    """int_M g(X, Y) dmu of two invariant fields by grid quadrature
+    (independent of Parseval): the products of their unit-frame component
+    grids on the Gauss grid of their degree pair."""
+    grid = SphereGrid.for_integration(X.degree + Y.degree, max(X.degree, Y.degree))
+    g = sum(x.values * y.values for x, y in zip(X.components(grid), Y.components(grid)))
+    return geometry.FIBER_FACTOR * grid.integrate(g)

@@ -57,10 +57,8 @@ class IntegratorConfig:
         n_steps = self.t_end / self.dt
         if abs(n_steps - round(n_steps)) > 1e-9 * n_steps:
             raise ValueError("t_end must be a multiple of dt")
-        if self.invariant_sample_stride < 1:
-            raise ValueError("invariant_sample_stride must be >= 1")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        for name in ("invariant_sample_stride", "k_max"):
+            geometry._positive_count(getattr(self, name), "IntegratorConfig needs " + name)
 
 
 def rhs(h):
@@ -117,8 +115,11 @@ def evolve(state0, cfg):
     """Integrate to cfg.t_end; returns sampled states plus the invariant log.
 
     Raises BlowUpError when the coefficient norm passes the threshold
-    (with the offending time in the exception).
+    (with the offending time in the exception), and ValueError before the
+    first step when the initial momentum is not finite.
     """
+    if not np.all(np.isfinite(state0.h.coeffs)):
+        raise ValueError("evolve needs a finite initial momentum state0.h")
     n_steps = int(round(cfg.t_end / cfg.dt))
     state = state0
     states = [state]

@@ -143,11 +143,7 @@ def theta_form(q, v):
 
 def metric(q, u, v):
     """Associated metric g(u, v) = 2 <u, v> - theta(u) theta(v)."""
-    return _metric_qi(qmul(q, np.broadcast_to(_IQ, np.shape(q))), u, v)
-
-
-def _metric_qi(qi, u, v):
-    """metric with the product q i given: 2 <u, v> - <u, qi> <v, qi>."""
+    qi = qmul(q, np.broadcast_to(_IQ, np.shape(q)))
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return (2.0 * np.sum(u * v, axis=-1)
@@ -357,6 +353,7 @@ def verify_axioms(n_points=1000, seed=0, tol=1e-10):
     closed forms; the frame bracket relations feeding d theta are validated
     separately by finite differences (see tests).
     """
+    n_points = _positive_count(n_points, "verify_axioms needs n_points")
     rng = np.random.default_rng(seed)
     q = _random_points(rng, n_points)
     X = _random_tangents(rng, q)

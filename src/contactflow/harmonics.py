@@ -44,8 +44,11 @@ bracket builds neither.  A point plan prepares scattered points, adding
 the cos/sin(m lam) rows that grow with its tables, then evaluates any
 number of (function, tag) pairs on them: a one-shot point set builds its
 plan per call, a plan kept for fixed nodes builds its tables once.
-Nodes that form a grid, such as the S^3 quadrature's, are evaluated by
-synthesis on the grid instead.  All plan arrays are read-only.
+All plan arrays are read-only.
+
+quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
+product of two syntheses on SphereGrid.for_integration(deg u + deg v,
+max degree), exact for the degree of the product, without Parseval.
 """
 
 from __future__ import annotations
@@ -596,3 +599,25 @@ def inner_M(f, h):
     L = max(f.L, h.L)
     pairing = np.sum(f.padded(L).coeffs * h.padded(L).coeffs)
     return geometry.FIBER_FACTOR * float(pairing)
+
+
+def quad_inner_M(u, v):
+    """int_M u v dmu by grid quadrature (independent of Parseval)."""
+    return _quad_inners([(u, v)])[0]
+
+
+def _quad_inners(pairs):
+    """quad_inner_M of each (u, v) pair, bit-for-bit, each on its own grid:
+    a grid synthesizes each distinct operand (by identity) once, in one
+    stacked call per degree."""
+    keys = [(u.L + v.L, max(u.L, v.L)) for u, v in pairs]
+    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
+    stacks = {}
+    for key, pair in zip(keys, pairs):
+        for w in pair:
+            stacks.setdefault((key, w.L), {})[key, id(w)] = w.coeffs
+    vals = {}
+    for (key, _), ops in stacks.items():
+        vals.update(zip(ops, synthesize(np.stack(list(ops.values())), grids[key])))
+    return [geometry.FIBER_FACTOR * grids[key].integrate(vals[key, id(u)] * vals[key, id(v)])
+            for key, (u, v) in zip(keys, pairs)]

@@ -8,22 +8,18 @@ pairing: <X_f, X_h> = int_M f h dmu.  The two are linked by
 Both metrics are implemented along two independent paths: a spectral path
 (diagonal in the eigenbasis) and a quadrature path (pointwise fields
 integrated over S^3); their agreement is one of the package's standing
-checks.  The quadrature path takes its nodes, weights and node plan from
-the one cached quadrature per pair of operand degrees that dmu_inner also
-uses: one fibre node per Gauss grid point, the potentials synthesized on
-the grid, the pairing integrated pointwise.  A float operand is read as
-a constant Hamiltonian.
+checks.  The quadrature path integrates on the Gauss grid of the operand
+degrees: f h by harmonics.quad_inner_M, as the curvature routes do, and
+g(X_f, X_h) from the fields' unit-frame component grids, as dmu_inner
+does.  A float operand is read as a constant Hamiltonian.
 """
 
 from __future__ import annotations
 
 import enum
 
-import numpy as np
-
-from . import geometry
-from .fields import _as_spectral, _quadrature, contact_field
-from .harmonics import inner_M
+from .fields import _as_spectral, _quad_g_inner_M, contact_field
+from .harmonics import inner_M, quad_inner_M
 
 
 class MetricKind(enum.Enum):
@@ -47,15 +43,9 @@ def inner(kind, f, h, method="spectral"):
         return inner_M(f, h.helmholtz())
     if method != "quadrature":
         raise ValueError("unknown method %r" % method)
-    quad, nodes = _quadrature(f.L, h.L)
-    # both operands on the degree pair's shared node plan
     if kind is MetricKind.BI_INVARIANT:
-        fv, hv = nodes.points.evaluate([(f, None), (h, None)])
-        vals = fv * hv
-    else:
-        Xf, Xh = nodes.ambient([contact_field(f), contact_field(h)])
-        vals = geometry._metric_qi(nodes.frame[0], Xf, Xh)
-    return float(np.dot(quad.weights, vals))
+        return quad_inner_M(f, h)
+    return _quad_g_inner_M(contact_field(f), contact_field(h))
 
 
 def energy_inner(f, h):

@@ -18,11 +18,9 @@ The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
 flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
-pairing integrates over the one cached S^3 quadrature per pair of operand
-degrees, shared with metrics.inner: one fibre node over each point of a
-Gauss grid, with its frame built once and the potentials synthesized on
-the grid, and the metric reads q i from its frame.  rot_report evaluates
-every residual on one node plan of its check points.
+pairing is the field pairing of metrics.inner's quadrature path, on the
+unit-frame component grids of its two fields.  rot_report evaluates every
+residual on one node plan of its check points.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, _NodePlan, _quadrature, contact_field
+from .fields import FrameField, _as_spectral, _NodePlan, _quad_g_inner_M, contact_field
 from .geometry import SQRT2
 from .harmonics import (
     SpectralFunction,
@@ -121,10 +119,8 @@ def dmu_inner(f, h):
 
     The Hamiltonian f splits as constant + mean-zero; the constant rides on
     the fixed point rot xi = xi, the rest through the closed-form inverse.
-    rot^-1 X_f and X_h are evaluated on the node plan of the cached
-    quadrature for their two degrees, by grid synthesis on its Gauss grid,
-    and g(X, Y) of their ambient values is integrated pointwise, so only
-    the two fields are new per call.
+    g(rot^-1 X_f, X_h) is integrated from the two fields' unit-frame
+    component grids on the Gauss grid of their degrees.
     """
     f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
@@ -134,10 +130,7 @@ def dmu_inner(f, h):
     else:
         pre = FrameField(SpectralFunction.constant(c) - f0, 0.0,
                          2.0 * f0.inverse_laplacian())
-    quad, nodes = _quadrature(pre.degree, h.L)
-    Xpre, Xh = nodes.ambient([pre, contact_field(h)])
-    vals = geometry._metric_qi(nodes.frame[0], Xpre, Xh)
-    return float(np.dot(quad.weights, vals))
+    return _quad_g_inner_M(pre, contact_field(h))
 
 
 # ---------------------------------------------------------------------------

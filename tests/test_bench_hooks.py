@@ -3,11 +3,12 @@ site; a renamed or deleted target would otherwise only show up as a
 crashed traced benchmark run.  Its call-site check also counts grid
 builds against brackets, which only holds while every bracket still
 constructs its grid.  The same spans count Legendre table builds per
-scattered point set, also when several fields share one set (a pairing
-by quadrature) and in the finite-difference oracles' stencils, and show
-that a pairing by quadrature builds its nodes and tables once per
-degree pair and synthesizes its operands on a Gauss grid, and that the
-curl suite prepares each of its point sets once.
+scattered point set, also when several fields share one set and in the
+finite-difference oracles' stencils, and show that a pairing by
+quadrature evaluates no S^3 point: it synthesizes its operands on the
+Gauss grid of its degree pair, whose shared tables a warm pairing does
+not rebuild, and that the curl suite prepares each of its point sets
+once.
 The curvature routes batch their brackets and quadrature operands: one
 synthesize call per tag per grid, not per bracket."""
 
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import contactflow as cf
-from contactflow import fields, flow, geometry, harmonics
+from contactflow import flow, geometry, harmonics
 from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import MetricKind, inner
@@ -42,15 +43,20 @@ def make_tracer():
     return tracing.Tracer()
 
 
-def traced_calls(run):
-    """{span name: calls} of one traced run()."""
+def traced(run):
+    """The tracer after one traced run()."""
     tracer = make_tracer()
     try:
         tracer.install()
         run()
     finally:
         tracer.uninstall()
-    return {name: row[0] for name, row in tracer.summary().items()}
+    return tracer
+
+
+def traced_calls(run):
+    """{span name: calls} of one traced run()."""
+    return {name: row[0] for name, row in traced(run).summary().items()}
 
 
 def test_tracer_reaches_every_call_site():
@@ -106,15 +112,14 @@ def test_one_legendre_build_per_point_set():
     assert calls["geometry.qmul"] == 6
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
-    # two fields at one set of quadrature nodes share the build, and the
-    # nodes and their grid's tables are built once per quadrature degree pair
+    # a pairing of degrees 3 and 5 grows its grid's shared tables once per
+    # rising operand degree, and builds nothing when they are warm
     pairings = [lambda: dmu_inner(f.mean_free(), u.mean_free())]
     pairings += [partial(inner, kind, f, u, method="quadrature") for kind in MetricKind]
     for pairing in pairings:
-        fields._quadrature.cache_clear()
         harmonics._plan.cache_clear()
         calls = traced_calls(pairing)
-        assert calls["harmonics.legendre_tables"] == 1
+        assert calls["harmonics.legendre_tables"] == 2
         calls = traced_calls(pairing)
         assert calls.get("harmonics.legendre_tables", 0) == 0
         assert calls.get("geometry.QuadratureS3.build", 0) == 0
@@ -133,7 +138,7 @@ def test_one_legendre_build_per_point_set():
 def test_rot_report_prepares_each_point_set_once():
     # one node plan for the check points (a degree-0 build grown to L) and
     # one for each of the 3 stencil point sets of the single divergence
-    # call; the warm quadratures of the pairings build nothing
+    # call; the pairings synthesize on warm grid plans and build nothing
     rot_report(L=4, seed=0, n_pairs=3, n_points=12)
     calls = traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=3, n_points=12))
     assert calls["harmonics.legendre_tables"] == 5
@@ -145,20 +150,24 @@ def test_rot_report_prepares_each_point_set_once():
 
 
 def test_warm_pairing_synthesizes_on_its_gauss_grid():
-    # a rot_suite pairing at L = 12: one synthesize per tag on the cached
-    # 13 x 26 Gauss grid, no Legendre table and no quadrature build
+    # a rot_suite pairing at L = 12 on the 13 x 26 Gauss grid, with no
+    # Legendre table, quadrature build or quaternion product: the scalar
+    # pairing synthesizes its stacked operands once, a field pairing takes
+    # the component grids of both fields, 3 synthesize calls each
     rng = np.random.default_rng(3)
     f, h = (SpectralFunction.random(12, rng, lmin=1) for _ in range(2))
-    pairings = [lambda: dmu_inner(f, h)]
-    pairings += [partial(inner, kind, f, h, method="quadrature") for kind in MetricKind]
-    for pairing in pairings:
+    pairings = [(1, partial(inner, MetricKind.BI_INVARIANT, f, h, method="quadrature")),
+                (6, partial(inner, MetricKind.RIGHT_INVARIANT, f, h, method="quadrature")),
+                (6, lambda: dmu_inner(f, h))]
+    for n_synth, pairing in pairings:
         pairing()
-        calls = traced_calls(pairing)
+        tracer = traced(pairing)
+        calls = {name: row[0] for name, row in tracer.summary().items()}
         assert calls.get("harmonics.legendre_tables", 0) == 0
         assert calls.get("geometry.QuadratureS3.build", 0) == 0
-        assert 1 <= calls["harmonics.synthesize"] <= 3
-    grid = fields._quadrature(12, 12)[1].points.grid
-    assert (grid.nlat, grid.nlon) == (13, 26)
+        assert calls.get("geometry.qmul", 0) == 0
+        assert calls["harmonics.synthesize"] == n_synth
+        assert tracer.grid_keys == {(13, 26)}
 
 
 def test_metric_takes_qi_from_the_plan():
@@ -168,6 +177,7 @@ def test_metric_takes_qi_from_the_plan():
     u, v = rng.standard_normal((2, 5, 4))
     calls = traced_calls(lambda: geometry.metric(q, u, v))
     assert calls["geometry.qmul"] == 1
+    # a pairing forms no q i at all: it reads unit-frame components off grids
     f, h = (SpectralFunction.random(3, rng, lmin=1) for _ in range(2))
     pairings = [lambda: dmu_inner(f, h)]
     pairings += [partial(inner, kind, f, h, method="quadrature") for kind in MetricKind]

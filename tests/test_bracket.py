@@ -66,6 +66,11 @@ def test_negative_L_out_rejected():
         lagrange_bracket(f, h, L_out=-1)
     with pytest.raises(ValueError, match="L_out"):
         _brackets([(f, h), (h, f)], L_out=-2)
+    # a count, not a size: no float or bool stands in for it
+    for bad in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match="L_out to be an integer >= 0"):
+            lagrange_bracket(f, h, L_out=bad)
+    assert lagrange_bracket(f, h, L_out=np.int64(0)).L == 0
 
 
 def test_constants_are_central():

@@ -102,6 +102,27 @@ def test_g_inner_M_matches_quadrature():
                            Y.evaluate(quad.nodes))
     want = float(np.dot(quad.weights, vals))
     assert abs(X.g_inner_M(Y) - want) < 1e-9
+    # the grid field pairing, on the section lift alone, against the same
+    # fibre-sampling oracle
+    assert abs(fields._quad_g_inner_M(X, Y) - want) < 1e-9
+    # QuadratureS3.build stays uncached and writable
+    again = geometry.QuadratureS3.build(8, 16, 2)
+    assert again.nodes is not quad.nodes and again.nodes.flags.writeable
+
+
+@pytest.mark.parametrize("degrees", [(3, 5, 2), (0, 4, 0), (2, 0, 3), (0, 0, 0), (4, 1, 1)])
+def test_component_grids_are_frame_components_on_the_section_lift(degrees):
+    # the identity the grid pairings rest on: at the nodes of a grid, the
+    # component grids of an invariant field are its g-components in the
+    # unit frame at the section lift q(theta, lam), to round-off
+    rng = np.random.default_rng(sum(degrees))
+    X = FrameField(*(SpectralFunction.random(L, rng) for L in degrees))
+    grid = SphereGrid.for_integration(2 * X.degree + 1, X.degree)
+    q = geometry.section_lift(*np.meshgrid(grid.theta, grid.lam, indexing="ij"))
+    want = geometry.frame_components(q, X.evaluate(q))
+    scale = max(1.0, np.max(np.abs(want)))
+    for i, got in enumerate(X.components(grid)):
+        assert np.max(np.abs(got.values - want[..., i])) < 1e-13 * scale
 
 
 def test_reeb_and_gradient_constructors():
@@ -122,75 +143,3 @@ def test_xi_component_of_contact_field_is_its_hamiltonian():
     pts = unit_points(rng, 8)
     comp0 = geometry.frame_components(pts, X.evaluate(pts))[:, 0]
     assert np.max(np.abs(comp0 - f.pullback(pts))) < 1e-12
-
-
-def _pairings(f, h):
-    """dmu_inner, both quadrature inner kinds and the ambient values of
-    three fields on the quadrature nodes of the degree pair (f.L, h.L)."""
-    quad, nodes = fields._quadrature(f.L, h.L)
-    Xs = [contact_field(f), FrameField(f, h, 0.5 * f), FrameField(0.0, h, 0.0)]
-    return ([dmu_inner(f, h)]
-            + [inner(kind, f, h, method="quadrature") for kind in MetricKind]
-            + nodes.ambient(Xs) + fields._NodePlan(quad.nodes).ambient(Xs))
-
-
-def test_cached_quadrature_matches_a_cold_one_whatever_came_first():
-    # the node plan synthesizes on a Gauss grid whose shared tables grow to
-    # the largest degree seen and are sliced for smaller ones
-    rng = np.random.default_rng(10)
-    degrees = [(1, 1), (3, 3), (1, 5), (2, 2), (5, 1), (3, 3), (0, 2)]
-    draws = [(SpectralFunction.random(a, rng), SpectralFunction.random(b, rng, lmin=1))
-             for a, b in degrees]
-    cold = []
-    for f, h in draws:
-        fields._quadrature.cache_clear()
-        cold.append(_pairings(f, h))
-    fields._quadrature.cache_clear()
-    for (f, h), want in zip(draws, cold):
-        got = _pairings(f, h)
-        assert len(got) == len(want) == 9
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        # grid synthesis and the one-shot scattered evaluation at the same
-        # nodes agree to round-off
-        for a, b in zip(got[3:6], got[6:]):
-            assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
-
-
-def test_quadrature_is_shared_by_both_orders_of_a_degree_pair():
-    rng = np.random.default_rng(14)
-    f, h = SpectralFunction.random(3, rng), SpectralFunction.random(5, rng)
-    cold = []
-    for a, b in ((f, h), (h, f)):
-        fields._quadrature.cache_clear()
-        cold.append(dmu_inner(a, b))
-    fields._quadrature.cache_clear()
-    warm = [dmu_inner(f, h), dmu_inner(h, f)]
-    info = fields._quadrature.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-    assert fields._quadrature(5, 3) is fields._quadrature(3, 5)
-    # one plan for both orders gives each pairing the bits of its own plan
-    assert warm == cold
-
-
-def test_quadrature_plans_are_read_only_and_bounded():
-    rng = np.random.default_rng(11)
-    fields._quadrature.cache_clear()
-    quad, nodes = fields._quadrature(3, 3)
-    nodes.ambient([FrameField(*(SpectralFunction.random(3, rng) for _ in range(3)))])
-    grid = nodes.points.grid
-    data = grid.tables(3)
-    assert set(data) == {"P", "dP", "Q"}
-    for arr in (quad.nodes, quad.weights, *nodes.frame, nodes.r2, nodes.r3,
-                nodes.e_th, nodes.e_lm, nodes.zero, grid.x, grid.w, grid.theta,
-                grid.lam, *data.values()):
-        with pytest.raises(ValueError):
-            arr.flat[0] = 1.0
-    assert fields._quadrature(3, 3)[1] is nodes
-    # QuadratureS3.build itself stays uncached and writable
-    fresh = geometry.QuadratureS3.build(4, 8, 2)
-    assert fresh.nodes.flags.writeable and fresh.nodes is not quad.nodes
-    bound = fields._quadrature.cache_info().maxsize
-    for deg in range(bound + 3):
-        fields._quadrature(deg, 1)
-    assert fields._quadrature.cache_info().currsize == bound

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from contactflow import geometry
+from contactflow import flow, geometry
 from contactflow.flow import (
     BlowUpError,
     FlowState,
@@ -90,6 +90,21 @@ def test_config_validation():
         IntegratorConfig(dt=0.003, t_end=0.01)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=np.inf)
+    for bad in ({"invariant_sample_stride": 1.5}, {"invariant_sample_stride": 0},
+                {"k_max": True}, {"k_max": 0}, {"k_max": 2.0}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name + " to be an integer >= 1"):
+            IntegratorConfig(dt=1e-2, t_end=0.02, **bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_momentum_is_rejected_before_a_step(bad, monkeypatch):
+    # not a blow-up at t = dt: the state is bad before the flow starts
+    h0 = SpectralFunction.random(2, np.random.default_rng(7))
+    h0.coeffs[1, 2] = bad
+    monkeypatch.setattr(flow, "step", lambda *a: pytest.fail("evolve took a step"))
+    with pytest.raises(ValueError, match="state0"):
+        evolve(FlowState(h0, 0.0), IntegratorConfig(dt=1e-2, t_end=0.02))
 
 
 def test_rhs_matches_velocity_form():

@@ -39,6 +39,12 @@ def test_axiom_suite_small_sample():
                                                  check.max_residual)
 
 
+@pytest.mark.parametrize("n_points", [0, -3, 2.5, True])
+def test_axiom_suite_rejects_a_bad_sample_size(n_points):
+    with pytest.raises(ValueError, match="verify_axioms needs n_points to be an integer >= 1"):
+        verify_axioms(n_points=n_points)
+
+
 def test_frame_is_orthonormal_for_g():
     rng = np.random.default_rng(1)
     pts = unit_points(rng, 40)
@@ -237,8 +243,7 @@ def test_metric_from_a_given_qi_is_the_metric():
     u, v = rng.standard_normal((2, 7, 4))
     qi = qmul(q, np.broadcast_to([0.0, 1.0, 0.0, 0.0], q.shape))
     got = metric(q, u, v)
-    assert np.array_equal(got, geometry._metric_qi(qi, u, v))
     assert np.array_equal(got, 2.0 * np.sum(u * v, axis=-1)
                           - theta_form(q, u) * theta_form(q, v))
-    # the node plan's v1 is that product, bit for bit
+    # the unit frame's v1 is that product, bit for bit
     assert np.array_equal(unit_frame(q)[0], qi)

@@ -126,6 +126,9 @@ def test_residuals_on_a_shared_plan_match_fresh_evaluations():
         fresh = (X - Y).evaluate(pts)
         assert np.array_equal(plan.ambient([X - Y])[0], fresh)
         assert _ambient_residual(X, Y, plan) == np.max(np.linalg.norm(fresh, axis=-1))
+    for arr in (*plan.frame, plan.r2, plan.r3, plan.e_th, plan.e_lm, plan.zero):
+        with pytest.raises(ValueError):
+            arr.flat[0] = 1.0
 
 
 def test_inverse_rejects_nonzero_mean():
