@@ -8,9 +8,10 @@ The scale -2 is a consequence of the calibrated contact structure and is
 measured by the geometry oracle, not assumed (see geometry module).
 
 Brackets of band-limited functions are band-limited by the degree sum D.
-The operands are synthesized as one stack, one call per tag, on a grid
-sized to the output degree L <= D: a grid integrating degree D + L exactly
-projects the bracket exactly (stronger than the 3/2 de-aliasing rule).
+The operands are synthesized as one stack, both tangential derivatives in
+one call, on a grid sized to the output degree L <= D: a grid integrating
+degree D + L exactly projects the bracket exactly (stronger than the 3/2
+de-aliasing rule).
 At L = D this is for_degree(D); the flow's brackets (L = D/2) get a grid
 3/4 as fine each way and Legendre tables of half the degree.  A batch
 stacks the operands of all brackets with the same (D, L, max degree), on
@@ -27,8 +28,9 @@ from functools import partial
 import numpy as np
 
 from . import geometry
-from .fields import contact_field_at
+from .fields import _as_spectral, contact_field_at
 from .harmonics import (
+    TANGENTIAL,
     SphereGrid,
     SpectralFunction,
     _triangle,
@@ -45,14 +47,15 @@ def lagrange_bracket(f, h, L_out=None):
 
     Pass L_out to get the bracket truncated (or zero-padded) to degree
     L_out, as the Euler flow does; identities are tested at full degree.
+    A float operand is the constant Hamiltonian of that value.
     """
-    return _brackets([(f, h)], L_out)[0]
+    return _brackets([(_as_spectral(f), _as_spectral(h))], L_out)[0]
 
 
 def _brackets(pairs, L_out=None):
     """[f, h] of each (f, h) pair, bit-for-bit its own lagrange_bracket:
     the pairs of one (D, L, L_in) share that bracket's grid, one synthesize
-    call per tag and one analysis."""
+    call for both tangential derivatives and one analysis."""
     if L_out is not None:
         L_out = geometry._positive_count(L_out, "lagrange_bracket needs L_out", least=0)
     groups = {}
@@ -63,13 +66,13 @@ def _brackets(pairs, L_out=None):
     out = [None] * len(pairs)
     for (D, L, L_in), idx in groups.items():
         grid = SphereGrid.for_integration(D + L, L_in)
-        fh = np.stack([[w.padded(L_in).coeffs for w in pairs[n]] for n in idx])
-        th = synthesize(fh, grid, deriv="dtheta")
-        lm = synthesize(fh, grid, deriv="dlambda_over_sin")
-        vals = -2.0 * (th[:, 0] * lm[:, 1] - lm[:, 0] * th[:, 1])
+        fh = np.stack([[w.coeffs if w.L == L_in else w.padded(L_in).coeffs
+                        for w in pairs[n]] for n in idx])
+        d = synthesize(fh, grid, deriv=TANGENTIAL)            # [bracket, f/h, tag]
+        vals = -2.0 * (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
         for n, c in zip(idx, adjoint_analyze(vals, grid, L, None)):
             b = SpectralFunction(c)
-            out[n] = b if L_out is None else b.padded(L_out)
+            out[n] = b if L_out in (None, L) else b.padded(L_out)
     return out
 
 
@@ -137,10 +140,11 @@ class StructureConstants:
 def structure_constants(L):
     """All c^i_{jk} = <[f_j, f_k], f_i>_M for basis degrees <= L.
 
-    The basis is synthesized once per tag on for_degree(2L), which resolves
-    every bracket; for each j the brackets with all k > j are analyzed in
-    one call.  Kept: |c| > DROP_TOL and 1 <= deg i <= deg j + deg k, the
-    exact bracket's selection rule (outside it the grid leaves round-off).
+    The basis is synthesized once, both tags in one call, on for_degree(2L),
+    which resolves every bracket; for each j the brackets with all k > j
+    are analyzed in one call.  Kept: |c| > DROP_TOL and 1 <= deg i <=
+    deg j + deg k, the exact bracket's selection rule (outside it the grid
+    leaves round-off).
     Entries with deg i > L are honest algebra data and are kept.
     """
     if L < 1:
@@ -150,8 +154,8 @@ def structure_constants(L):
     slots = _triangle(D)
     deg = np.nonzero(slots)[0]
     grid = SphereGrid.for_degree(D)
-    th = synthesize(basis, grid, deriv="dtheta")
-    lm = synthesize(basis, grid, deriv="dlambda_over_sin")
+    d = synthesize(basis, grid, deriv=TANGENTIAL)
+    th, lm = d[:, 0], d[:, 1]
     rows = []
     for j in range(1, n - 1):   # brackets with the constant mode j = 0 vanish
         vals = -2.0 * (th[j] * lm[j + 1:] - lm[j] * th[j + 1:])

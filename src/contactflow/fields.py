@@ -18,7 +18,8 @@ q(theta, lam) = exp(i lam/2) exp(k theta/2), on which
 and ambient evaluation anywhere on S^3 goes through the rotation columns
 R_i(q) = q i_hat_i conj(q):  v2 f = -sqrt2 R3 . grad_{S^2} F and
 v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f, with the angles of
-pi(q) read off R1.  The potentials are synthesized as one stack per tag.
+pi(q) read off R1.  The potentials are synthesized as one stack, both
+tangential derivatives in one call.
 A node plan prepares one set of S^3 points: the point plan of pi(q), the
 unit frame and the rotation columns from one set of products q i, q j,
 q k, and e_theta, e_lambda at pi(q).  It then assembles ambient values of
@@ -42,6 +43,7 @@ import numpy as np
 from . import geometry
 from .geometry import SQRT2
 from .harmonics import (
+    TANGENTIAL,
     GridFunction,
     SpectralFunction,
     SphereGrid,
@@ -84,11 +86,11 @@ class _NodePlan:
             _frozen(a)
 
     def _v23(self, f, values):
-        """(v2 f, v3 f) of a potential from its next two derivative values;
+        """(v2 f, v3 f) of a potential from its next (d_theta, d_lam) values;
         zero for degree 0, whose derivatives vanish and are not evaluated."""
         if f.L == 0:
             return self.zero, self.zero
-        d_theta, d_lam = next(values), next(values)
+        d_theta, d_lam = next(values)
         grad = d_theta[..., None] * self.e_th + d_lam[..., None] * self.e_lm
         return (-SQRT2 * np.sum(self.r3 * grad, axis=-1),
                 SQRT2 * np.sum(self.r2 * grad, axis=-1))
@@ -98,8 +100,7 @@ class _NodePlan:
         rotation-column identities, from one Legendre table build."""
         pairs = []
         for X in fields:
-            pairs += [(X.a, None)] + [(f, t) for f in (X.u, X.w) if f.L > 0
-                                      for t in ("dtheta", "dlambda_over_sin")]
+            pairs += [(X.a, None)] + [(f, TANGENTIAL) for f in (X.u, X.w) if f.L > 0]
         values = iter(self.points.evaluate(pairs))
         out = []
         for X in fields:
@@ -150,13 +151,12 @@ class FrameField:
         if B.grid is not grid or C.grid is not grid:
             raise ValueError("component grids must coincide")
         a = analyze(A, L)
-        BC = np.stack([B.values, C.values])
-        th = adjoint_analyze(BC, grid, L, "dtheta")
-        lm = adjoint_analyze(BC, grid, L, "dlambda_over_sin")
+        B, C = B.values, C.values
+        # <C, dtheta Y> + <-B, dlam Y / sin> and <B, dtheta Y> + <C, dlam Y / sin>
+        u, w = adjoint_analyze(np.stack([[C, -B], [B, C]]), grid, L, TANGENTIAL)
         # the derivative functionals vanish at degree 0, as inverse_laplacian needs
-        u = SpectralFunction(SQRT2 * (th[1] - lm[0])).inverse_laplacian()
-        w = SpectralFunction(-SQRT2 * (th[0] + lm[1])).inverse_laplacian()
-        return cls(a, u, w)
+        return cls(a, SpectralFunction(SQRT2 * u).inverse_laplacian(),
+                   SpectralFunction(-SQRT2 * w).inverse_laplacian())
 
     # -- structure ------------------------------------------------------------
 
@@ -182,10 +182,9 @@ class FrameField:
         A = synthesize(self.a, grid)
         L = max(self.u.L, self.w.L)
         uw = np.stack([self.u.padded(L).coeffs, self.w.padded(L).coeffs])
-        th = synthesize(uw, grid, deriv="dtheta")
-        lm = synthesize(uw, grid, deriv="dlambda_over_sin")
-        B = -SQRT2 * (lm[0] + th[1])
-        C = SQRT2 * (th[0] - lm[1])
+        (u_th, u_lm), (w_th, w_lm) = synthesize(uw, grid, deriv=TANGENTIAL)
+        B = -SQRT2 * (u_lm + w_th)
+        C = SQRT2 * (u_th - w_lm)
         return (GridFunction(grid, A), GridFunction(grid, B), GridFunction(grid, C))
 
     def evaluate(self, q):

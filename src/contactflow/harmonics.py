@@ -18,32 +18,36 @@ the frame-derivative oracle of the geometry module; a test holds the two
 equal, and `contactflow calibrate` reports the measured value.
 
 Every transform is two matmuls.  The Legendre step is one kernel pair:
-_forward maps coefficients to the per-order amplitudes (a_m, b_m) of
-cos(m lam) and sin(m lam) at each colatitude node, and _adjoint is its
-transpose.  A derivative tag picks the Legendre table and a 2x2 map per
-order on (a_m, b_m): the identity for the function and d/dtheta, the
-rotation (a_m, b_m) -> (m b_m, -m a_m) for (1/sin) d/dlambda.  The tables
-vanish at l < m, so the sum over l is one batched product over all orders.
-The longitude step is a product with the cached rows cos(m lam_k),
-sin(m lam_k), m <= L, of the grid's nlon: synthesis sums
-a_m cos + b_m sin over the rows, the same form as a point plan's, and
-analysis multiplies the values by the rows' transpose.  Only the orders
-m <= L are ever formed, for any nlon, odd or prime.  Leading axes are
-batch axes: synthesize takes a stack of coefficient arrays and
-adjoint_analyze a stack of grids, one call per tag, each slice bit-for-bit
-its own call.  The per-order maps are built once per (tag, degree) and
-shared read-only.
+_forward maps coefficients to the per-order sums (a_m, b_m) of the
+cos(m lam) and sin(m lam) parts at each colatitude node, and _adjoint is
+its transpose.  The plan keeps P, dP and Q in one order-major array
+[m, l, tag, j].  A tag picks a table and a kind of longitude row: the
+function and d/dtheta take P and dP against the normalized basis rows,
+(1/sin) d/dlambda takes Q against their exact lam-derivatives
+m (-sin, cos).  A tuple of tags takes one coefficient pack and one
+Legendre product against its stacked tables and gives a tag axis
+(..., ntag, nlat, nlon), which the adjoint sums over.  The tables vanish
+at l < m, so the sum over l is one batched product over all orders, the
+order outermost, so that each order's block serves the whole batch while
+cached.  The longitude step is a product with the cached rows of the
+grid's nlon, m <= L, for any nlon, odd or prime: synthesis sums them
+weighted by (a_m, b_m), as a point plan does, and analysis multiplies the
+values by their transpose.  Leading axes are batch axes, each slice
+bit-for-bit its own call with the same tags; a tag's slice of a tuple
+call matches its one-tag call to round-off only, as the matmul's shape
+differs.
 
 One table plan holds x = cos theta and the Legendre tables at x, grown to
 the largest degree asked and sliced below it; a build loops over degree
-and updates all orders at once, O(L) Python steps.  A grid is a view of a
+and updates all orders at once, O(L) Python steps, writing the three
+tables in place in the stacked array.  A grid is a view of a
 shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
 the nodes' weights and theta, and of a longitude plan, one per nlon, which
 holds lam and the rows, grown and sliced like the tables; a fresh grid per
 bracket builds neither.  A point plan prepares scattered points, adding
-the cos/sin(m lam) rows that grow with its tables, then evaluates any
-number of (function, tag) pairs on them: a one-shot point set builds its
-plan per call, a plan kept for fixed nodes builds its tables once.
+rows that grow with its tables, then evaluates any number of (function,
+tag or tuple) pairs on them: a one-shot point set builds its plan per
+call, a plan kept for fixed nodes builds its tables once.
 All plan arrays are read-only.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
@@ -72,7 +76,9 @@ def legendre_tables(x, L):
     P[l, m] = Pbar_lm(x); dP[l, m] = d/dtheta Pbar_lm(cos theta);
     Q[l, m] = Pbar_lm / sin(theta) for m >= 1 (identically zero at m = 0).
     All three use division-free recurrences, so the tables are finite at
-    the poles.
+    the poles.  They are views of one order-major array [m, l, tag, j],
+    tag 0, 1, 2 for P, dP, Q, their common base: the layout the transform
+    kernel multiplies by, written in place with no second copy.
 
     The diagonal m = l is a loop over orders; the sub-diagonal m = l - 1
     is one vectorized step, and the three-term recurrence in l is a loop
@@ -83,9 +89,8 @@ def legendre_tables(x, L):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    P = np.zeros((L + 1, L + 1, n))
-    dP = np.zeros((L + 1, L + 1, n))
-    Q = np.zeros((L + 1, L + 1, n))
+    stack = np.zeros((L + 1, L + 1, 3, n))
+    P, dP, Q = (stack[:, :, tag].transpose(1, 0, 2) for tag in range(3))
 
     P[0, 0] = 1.0 / np.sqrt(2.0)
     for m in range(1, L + 1):
@@ -133,7 +138,7 @@ class _TablePlan:
         self._built = (-1, {})    # (degree, arrays), replaced as one value
 
     def _build(self, L):
-        return dict(zip(("P", "dP", "Q"), map(_frozen, legendre_tables(self.x, L))))
+        return {"stack": _frozen(legendre_tables(self.x, L)[0].base)}   # [m, l, tag, j]
 
     def arrays(self, L):
         """The unsliced arrays, built at a degree >= L."""
@@ -144,8 +149,14 @@ class _TablePlan:
         return data
 
     def tables(self, L):
-        data = self.arrays(L)
-        return {k: data[k][: L + 1, : L + 1] for k in ("P", "dP", "Q")}
+        stack = self.arrays(L)["stack"][: L + 1, : L + 1]
+        return {k: stack[:, :, t].transpose(1, 0, 2) for t, k in enumerate(("P", "dP", "Q"))}
+
+    def stack(self, L, tables):
+        """[m, l, (tag, j)]: the tables at indices `tables` (a slice is a
+        view, a list a copy), orders and degrees <= L."""
+        stack = self.arrays(L)["stack"][: L + 1, : L + 1, tables]
+        return stack.reshape(L + 1, L + 1, -1)
 
 
 class _GaussPlan(_TablePlan):
@@ -167,13 +178,24 @@ def _longitudes(nlon):
     return 2.0 * np.pi * np.arange(nlon) / nlon
 
 
-class _LonPlan:
-    """One nlon's longitudes and the rows cos(m lam), sin(m lam) in
-    (m, cos/sin) order, the longitude step of every grid transform.  The
-    rows grow to the largest L asked and are sliced below it; read-only.
+def _rows(cos, sin):
+    """Longitude rows [(m, cos/sin), kind, point] from cos(m lam), sin(m lam)
+    [m, point]: kind 0 is the normalized basis row, cos or sin over sqrt(2 pi)
+    at m = 0 and over sqrt(pi) above, and kind 1 its lam-derivative,
+    m (-sin, cos) over the same norm.  Read-only."""
+    m = np.arange(cos.shape[0])[:, None]
+    rows = np.stack([cos, -m * sin, sin, m * cos], axis=1)
+    rows /= np.where(m == 0, SQRT_2PI, SQRT_PI)[:, :, None]
+    return _frozen(rows.reshape(2 * cos.shape[0], 2, cos.shape[1]))
 
-    m lam_k is the longitude lam_(mk mod nlon), so every row entry is the
-    cos or sin of one of the nlon longitudes, reduced exactly in integers
+
+class _LonPlan:
+    """One nlon's longitudes and their rows (see _rows), the longitude step
+    of every grid transform.  The rows grow to the largest L asked and are
+    sliced below it; read-only.
+
+    m lam_k is the longitude lam_(mk mod nlon), so every row entry comes from
+    the cos or sin of one of the nlon longitudes, reduced exactly in integers
     rather than from a rounded product m * lam_k."""
 
     def __init__(self, nlon):
@@ -182,13 +204,12 @@ class _LonPlan:
         self._built = (-1, None)    # (degree, rows), replaced as one value
 
     def rows(self, L):
-        """(2(L+1), nlon): row 2m is cos(m lam), row 2m + 1 is sin(m lam)."""
+        """(2(L+1), 2, nlon): [2m + cos/sin, kind, k], orders m <= L."""
         built, rows = self._built
         if L > built:
             nlon = self.lam.size
-            mk = np.arange(L + 1)[:, None] * np.arange(nlon) % nlon
-            rows = _frozen(np.swapaxes(self._cos_sin[:, mk], 0, 1)
-                           .reshape(2 * (L + 1), nlon))
+            cos, sin = self._cos_sin[:, np.arange(L + 1)[:, None] * np.arange(nlon) % nlon]
+            rows = _rows(cos, sin)
             self._built = (L, rows)
         return rows[: 2 * (L + 1)]
 
@@ -273,7 +294,15 @@ def laplace_scale():
 
 def eigenvalue(l):
     """alpha_l = LAPLACE_SCALE * l (l+1); l may be an array of degrees."""
+    if np.any(np.asarray(l) < 0):
+        raise ValueError("eigenvalue needs degrees l >= 0, got %r" % (l,))
     return LAPLACE_SCALE * l * (l + 1.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _alpha_column_of(L):
+    """eigenvalue of the degrees 0..L as a read-only column, shared per L."""
+    return _frozen(eigenvalue(np.arange(L + 1))[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +420,7 @@ class SpectralFunction:
     # -- diagonal operators ---------------------------------------------------
 
     def _alpha_column(self):
-        return eigenvalue(np.arange(self.L + 1))[:, None]
+        return _alpha_column_of(self.L)
 
     def laplacian(self):
         return SpectralFunction(self.coeffs * self._alpha_column())
@@ -455,54 +484,76 @@ class SpectralFunction:
 # ---------------------------------------------------------------------------
 # transforms
 
-# derivative tag -> (Legendre table, c, d): the tag multiplies a_m - i b_m,
-# the weight of exp(i m lam), by c + i d m
-_DERIVS = {None: ("P", 1.0, 0.0), "dtheta": ("dP", 1.0, 0.0),
-           "dlambda_over_sin": ("Q", 0.0, 1.0)}
+# derivative tag -> (its table in the plan stack, its kind of longitude row):
+# the function and d/dtheta multiply P and dP by the basis rows, (1/sin)
+# d/dlambda multiplies Q by their lam-derivatives
+_DERIVS = {None: (0, 0), "dtheta": (1, 0), "dlambda_over_sin": (2, 1)}
+TANGENTIAL = ("dtheta", "dlambda_over_sin")    # the pair every frame derivative needs
 
 
-def _symbol(deriv, L):
-    """Table name and per-order 2x2 map of a tag on (a_m, b_m), normalized;
-    the map is read-only and shared per (tag, degree)."""
-    if deriv not in _DERIVS:
-        raise ValueError("unknown derivative tag %r" % (deriv,))
-    return _symbol_of(deriv, L)
+def _index(idx):
+    """A slice for ascending consecutive indices (a view), else the list (a copy)."""
+    span = range(idx[0], idx[0] + len(idx))
+    return slice(span.start, span.stop) if list(idx) == list(span) else list(idx)
 
 
-@functools.lru_cache(maxsize=128)
-def _symbol_of(deriv, L):
-    name, c, d = _DERIVS[deriv]
-    dm = d * np.arange(L + 1)
-    R = np.empty((L + 1, 2, 2))
-    R[:, 0, 0] = R[:, 1, 1] = c
-    R[:, 0, 1], R[:, 1, 0] = dm, -dm
-    R[0] /= SQRT_2PI
-    R[1:] /= SQRT_PI
-    return name, _frozen(R)
+def _tags(deriv):
+    """(table index, row index, ntag, single) of a tag or a non-empty tuple of tags."""
+    try:
+        return _tags_of(deriv)
+    except (KeyError, TypeError, ValueError):     # unknown, unhashable, empty
+        raise ValueError("unknown derivative tag %r" % (deriv,)) from None
 
 
-def _forward(coeffs, table, R):
-    """ab[..., m, :, j] = R[m] @ sum_l (c_lm^cos, c_lm^sin) table[l, m, j]."""
-    L = coeffs.shape[-2] - 1
-    cs = np.zeros(coeffs.shape[:-2] + (L + 1, 2, L + 1))     # [..., m, cos/sin, l]
-    cs[..., 0, :] = np.swapaxes(coeffs[..., L:], -1, -2)
-    cs[..., 1:, 1, :] = np.swapaxes(coeffs[..., :L][..., ::-1], -1, -2)
-    return np.matmul(np.matmul(R, cs), table.transpose(1, 0, 2))   # [..., m, a/b, j]
+@functools.lru_cache(maxsize=16)
+def _tags_of(deriv):
+    single = not isinstance(deriv, tuple)
+    tables, rows = zip(*(_DERIVS[tag] for tag in ((deriv,) if single else deriv)))
+    return _index(tables), _index(rows), len(tables), single
 
 
-def _adjoint(ab, table, R):
-    """Transpose of _forward: coefficients from per-order data ab[..., m, j, a/b]."""
-    L = table.shape[0] - 1
-    cs = np.matmul(np.matmul(table.transpose(1, 0, 2), ab), R)    # [..., m, l, cos/sin]
-    coeffs = np.empty(cs.shape[:-3] + (L + 1, 2 * L + 1))
-    coeffs[..., L:] = np.swapaxes(cs[..., 0], -1, -2)
-    coeffs[..., :L] = np.swapaxes(cs[..., 1:, :, 1][..., ::-1, :], -1, -2)
+def _move(a, src, dst):
+    """np.moveaxis of one axis, as one transpose: the kernel's hot path."""
+    axes = list(range(a.ndim))
+    axes.insert(dst % a.ndim, axes.pop(src))
+    return a.transpose(axes)
+
+
+def _by_order(stack, nbatch):
+    """stack[m, l, n] with nbatch broadcast axes after m: the order is the
+    outermost loop of a kernel matmul, so one order's block of the tables
+    serves the whole batch while it is in cache."""
+    return stack.reshape(stack.shape[:1] + (1,) * nbatch + stack.shape[1:])
+
+
+def _forward(coeffs, stack):
+    """ab[m, cos/sin, ..., (tag, j)] = sum_l (c_lm^cos, c_lm^sin) stack[m, l, (tag, j)]."""
+    L, batch = coeffs.shape[-2] - 1, coeffs.shape[:-2]
+    cs = np.zeros((L + 1, 2) + batch + (L + 1,))               # [m, cos/sin, ..., l]
+    cs[:, 0] = _move(coeffs[..., L:], -1, 0)
+    cs[1:, 1] = _move(coeffs[..., :L][..., ::-1], -1, 0)
+    ab = np.empty((L + 1, 2) + batch + stack.shape[-1:])
+    np.matmul(_move(cs, 1, -2), _by_order(stack, len(batch)), out=_move(ab, 1, -2))
+    return ab
+
+
+def _adjoint(ab, stack):
+    """Transpose of _forward: coefficients from ab[m, ..., (tag, j), cos/sin]."""
+    L = stack.shape[0] - 1
+    cs = np.matmul(_by_order(stack, ab.ndim - 3), ab)          # [m, ..., l, cos/sin]
+    coeffs = np.empty(cs.shape[1:-2] + (L + 1, 2 * L + 1))
+    coeffs[..., L:] = _move(cs[..., 0], 0, -1)
+    coeffs[..., :L] = _move(cs[1:, ..., 1][::-1], 0, -1)
     return coeffs
 
 
 class _PointPlan(_TablePlan):
-    """The table plan of scattered points (theta, lam), with the cos(m lam)
-    and sin(m lam) rows, which grow with the tables."""
+    """The table plan of scattered points (theta, lam), with the longitude
+    rows (see _rows), which grow with the tables.  The rows take m lam in
+    two parts: lam_hi keeps lam to 26 fractional bits, so m lam_hi is exact,
+    and the small m lam_lo enters by angle addition; no rounded product
+    m * lam reaches cos or sin, and a row does not depend on the degree
+    the plan was grown to."""
 
     def __init__(self, theta, lam):
         theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
@@ -512,32 +563,44 @@ class _PointPlan(_TablePlan):
 
     def _build(self, L):
         data = super()._build(L)
-        m_lam = np.arange(L + 1)[:, None] * self.lam
-        data["cos"], data["sin"] = _frozen(np.cos(m_lam)), _frozen(np.sin(m_lam))
+        m = np.arange(L + 1)[:, None]
+        hi = np.round(self.lam * 2.0 ** 26) / 2.0 ** 26    # m hi exact: m < 2^24, |lam| < 8
+        a, b = m * hi, m * (self.lam - hi)
+        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
+        data["rows"] = _rows(ca * cb - sa * sb, sa * cb + ca * sb)
         return data
 
     def evaluate(self, pairs):
-        """Values of (function, tag) pairs at the points, shaped like theta."""
-        data = self.arrays(max(f.L for f, _ in pairs))
+        """Values of (function, tag) pairs at the points, shaped like theta;
+        a tuple of tags adds a leading tag axis, one Legendre product for all."""
+        lon = self.arrays(max(f.L for f, _ in pairs))["rows"]
         out = []
         for f, deriv in pairs:
-            name, R = _symbol(deriv, f.L)
+            tables, rows, ntag, single = _tags(deriv)
             n = f.L + 1
-            ab = _forward(f.coeffs, data[name][:n, :n], R)
-            v = np.sum(ab[:, 0] * data["cos"][:n] + ab[:, 1] * data["sin"][:n], axis=0)
-            out.append(v.reshape(self.shape))
+            ab = _forward(f.coeffs, self.stack(f.L, tables)).reshape(2 * n, ntag, -1)
+            v = np.sum(ab * lon[: 2 * n, rows], axis=0)
+            out.append(v.reshape(self.shape if single else (ntag,) + self.shape))
         return out
 
 
 def _analysis(values, grid, L, deriv):
-    """Quadrature pairing of grids (..., nlat, nlon) with deriv(Y_lm), l <= L."""
+    """Quadrature pairing of grids (..., nlat, nlon) with deriv(Y_lm), l <= L,
+    summed over the tag axis (..., ntag, nlat, nlon) of a tuple of tags."""
     if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
-    name, R = _symbol(deriv, L)
+    tables, rows, ntag, single = _tags(deriv)
+    values = np.asarray(values, dtype=float)
+    if single:
+        values = values[..., None, :, :]
+    elif values.ndim < 3 or values.shape[-3] != ntag:
+        raise ValueError("values need a tag axis of length %d before (nlat, nlon)" % ntag)
     weights = grid.w * (2.0 * np.pi / grid.nlon)
-    ab = np.matmul(values, grid._lon.rows(L).T) * weights[:, None]   # [..., j, (m, a/b)]
-    ab = np.swapaxes(ab.reshape(ab.shape[:-1] + (L + 1, 2)), -3, -2)  # [..., m, j, a/b]
-    return _adjoint(ab, grid.tables(L)[name], R)
+    lon = grid._lon.rows(L)[:, rows].transpose(1, 2, 0)        # [tag, k, (m, a/b)]
+    ab = np.matmul(values, lon)                                # [..., tag, j, (m, a/b)]
+    ab *= weights[:, None]
+    ab = _move(ab.reshape(ab.shape[:-3] + (-1, L + 1, 2)), -2, 0)
+    return _adjoint(ab, grid._plan.stack(L, tables))           # ab: [m, ..., (tag, j), a/b]
 
 
 def synthesize(f, grid, deriv=None):
@@ -546,7 +609,8 @@ def synthesize(f, grid, deriv=None):
     f is a SpectralFunction or a stack of coefficient arrays (..., L+1, 2L+1),
     giving values (..., nlat, nlon).  deriv: None for f itself, "dtheta" for
     d/dtheta, "dlambda_over_sin" for (1/sin theta) d/dlambda; the latter two
-    are the ingredients of every frame derivative on the base.
+    are the ingredients of every frame derivative on the base.  A tuple of
+    tags gives values (..., ntag, nlat, nlon) from one Legendre product.
     """
     coeffs = f.coeffs if isinstance(f, SpectralFunction) else np.asarray(f, dtype=float)
     if coeffs.ndim < 2 or coeffs.shape[-1] != 2 * coeffs.shape[-2] - 1:
@@ -554,10 +618,12 @@ def synthesize(f, grid, deriv=None):
     L = coeffs.shape[-2] - 1
     if grid.nlon < 2 * L + 2:
         raise ValueError("grid too coarse in longitude for degree %d" % L)
-    name, R = _symbol(deriv, L)
-    ab = _forward(coeffs, grid.tables(L)[name], R)                     # [..., m, a/b, j]
-    ab = np.swapaxes(ab.reshape(ab.shape[:-3] + (2 * (L + 1), grid.nlat)), -1, -2)
-    return np.matmul(ab, grid._lon.rows(L))
+    tables, rows, ntag, single = _tags(deriv)
+    ab = _forward(coeffs, grid._plan.stack(L, tables))         # [m, a/b, ..., (tag, j)]
+    ab = ab.reshape((2 * (L + 1),) + coeffs.shape[:-2] + (ntag, grid.nlat))
+    lon = grid._lon.rows(L)[:, rows].swapaxes(0, 1)            # [tag, (m, a/b), k]
+    values = np.matmul(_move(ab, 0, -1), lon)                  # [..., tag, j, k]
+    return values[..., 0, :, :] if single else values
 
 
 def analyze(g, L=None):
@@ -581,7 +647,9 @@ def adjoint_analyze(values, grid, L, deriv):
     "dtheta" or "dlambda_over_sin" (None gives analyze's coefficients); this
     is the quadrature adjoint of the corresponding synthesis, the workhorse
     of integration by parts on the base (no pole terms: the test functions
-    carry the sin factors).
+    carry the sin factors).  A tuple of tags takes values (..., ntag, nlat,
+    nlon) and sums the tags' functionals, the adjoint of synthesize with
+    the same tuple.
     """
     return _analysis(values, grid, L, deriv)
 

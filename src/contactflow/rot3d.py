@@ -31,6 +31,7 @@ from . import geometry
 from .fields import FrameField, _as_spectral, _NodePlan, _quad_g_inner_M, contact_field
 from .geometry import SQRT2
 from .harmonics import (
+    TANGENTIAL,
     SpectralFunction,
     SphereGrid,
     adjoint_analyze,
@@ -49,9 +50,8 @@ def curl(X, L_out=None):
     grid = SphereGrid.for_degree(max(X.degree, L))
     A, B, C = X.components(grid)
     a_spec = analyze(A, L)
-    adj_B_th = adjoint_analyze(B.values, grid, L, "dtheta")
-    adj_C_lm = adjoint_analyze(C.values, grid, L, "dlambda_over_sin")
-    a_new = SpectralFunction(a_spec.coeffs - SQRT2 * (adj_B_th + adj_C_lm))
+    adj = adjoint_analyze(np.stack([B.values, C.values]), grid, L, TANGENTIAL)
+    a_new = SpectralFunction(a_spec.coeffs - SQRT2 * adj)
     w_new = a_spec.mean_free()
     return FrameField(a_new, 0.0, w_new)
 

@@ -10,7 +10,8 @@ Gauss grid of its degree pair, whose shared tables a warm pairing does
 not rebuild, and that the curl suite prepares each of its point sets
 once.
 The curvature routes batch their brackets and quadrature operands: one
-synthesize call per tag per grid, not per bracket."""
+synthesize call per grid, not per bracket, and one for both tangential
+derivatives, not one per derivative."""
 
 import sys
 from functools import partial
@@ -79,9 +80,10 @@ def test_flow_step_builds_a_grid_per_bracket():
 
 def test_curvature_plane_batches_its_transforms():
     # plane (3, 10), degrees 1 and 3: each route's brackets fall into up to
-    # three (D, L, L_in) groups of one grid and 2 synthesize calls, and its
-    # pairings synthesize each operand degree once per grid -- 25 calls on
-    # 14 grids and 10 analyses (one call per bracket and operand made 60 on 30)
+    # three (D, L, L_in) groups of one grid and one synthesize call for both
+    # derivatives, and its pairings synthesize each operand degree once per
+    # grid -- 15 calls on 14 grids and 10 analyses (one call per tag made 25;
+    # one call per tag, bracket and operand made 60 on 30 grids)
     f, h = cf.basis_function(3), cf.basis_function(10)
 
     def plane():
@@ -93,7 +95,7 @@ def test_curvature_plane_batches_its_transforms():
         cf.k_eigen(f, h)
 
     calls = traced_calls(plane)
-    assert calls["harmonics.synthesize"] == 25
+    assert calls["harmonics.synthesize"] == 15
     assert calls["harmonics.grid_build"] == 14
     assert calls["harmonics.adjoint_analyze"] == 10
     assert calls.get("harmonics.analyze", 0) == 0
@@ -153,12 +155,13 @@ def test_warm_pairing_synthesizes_on_its_gauss_grid():
     # a rot_suite pairing at L = 12 on the 13 x 26 Gauss grid, with no
     # Legendre table, quadrature build or quaternion product: the scalar
     # pairing synthesizes its stacked operands once, a field pairing takes
-    # the component grids of both fields, 3 synthesize calls each
+    # the component grids of both fields, 2 synthesize calls each: the xi
+    # potential, and both derivatives of the stacked u and w
     rng = np.random.default_rng(3)
     f, h = (SpectralFunction.random(12, rng, lmin=1) for _ in range(2))
     pairings = [(1, partial(inner, MetricKind.BI_INVARIANT, f, h, method="quadrature")),
-                (6, partial(inner, MetricKind.RIGHT_INVARIANT, f, h, method="quadrature")),
-                (6, lambda: dmu_inner(f, h))]
+                (4, partial(inner, MetricKind.RIGHT_INVARIANT, f, h, method="quadrature")),
+                (4, lambda: dmu_inner(f, h))]
     for n_synth, pairing in pairings:
         pairing()
         tracer = traced(pairing)

@@ -79,6 +79,9 @@ def test_constants_are_central():
     c = SpectralFunction.constant(4.2)
     assert lagrange_bracket(c, f).norm_M() < 1e-13
     assert lagrange_bracket(f, c).norm_M() < 1e-13
+    # a float operand is that constant Hamiltonian
+    assert np.array_equal(lagrange_bracket(f, 4.2).coeffs, lagrange_bracket(f, c).coeffs)
+    assert np.array_equal(lagrange_bracket(4.2, f, 2).coeffs, lagrange_bracket(c, f, 2).coeffs)
 
 
 def test_homomorphism_fd_residual():

@@ -83,9 +83,8 @@ def unbatched_bracket(f, h, L_out=None):
     L_in = max(f.L, h.L)
     grid = SphereGrid.for_integration(D + L, L_in)
     fh = np.stack([f.padded(L_in).coeffs, h.padded(L_in).coeffs])
-    th = synthesize(fh, grid, deriv="dtheta")
-    lm = synthesize(fh, grid, deriv="dlambda_over_sin")
-    out = analyze(GridFunction(grid, -2.0 * (th[0] * lm[1] - lm[0] * th[1])), L)
+    (f_th, f_lm), (h_th, h_lm) = synthesize(fh, grid, deriv=("dtheta", "dlambda_over_sin"))
+    out = analyze(GridFunction(grid, -2.0 * (f_th * h_lm - f_lm * h_th)), L)
     return out if L_out is None else out.padded(L_out)
 
 

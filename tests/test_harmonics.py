@@ -82,6 +82,17 @@ def test_laplace_scale_snapped():
     assert eigenvalue(np.arange(3)).tolist() == [0.0, 4.0, 12.0]
 
 
+def test_eigenvalue_rejects_a_negative_degree():
+    for bad in (-1, np.array([0, 2, -3])):
+        with pytest.raises(ValueError, match="l >= 0"):
+            eigenvalue(bad)
+    # the diagonal operators read a shared read-only column, never the check
+    col = SpectralFunction.zeros(4)._alpha_column()
+    assert col is SpectralFunction.zeros(4)._alpha_column()
+    assert not col.flags.writeable
+    assert col.ravel().tolist() == eigenvalue(np.arange(5)).tolist()
+
+
 def test_product_exact_at_degree_sum():
     rng = np.random.default_rng(3)
     f = SpectralFunction.random(3, rng)
@@ -244,18 +255,6 @@ def test_plan_cache_is_bounded():
     for nlat in range(1, maxsize + 3):
         SphereGrid(nlat, 2)
     assert harmonics._plan.cache_info().currsize <= maxsize
-
-
-def test_symbols_are_shared_read_only_and_checked_first():
-    name, R = harmonics._symbol("dlambda_over_sin", 4)
-    assert name == "Q" and R.shape == (5, 2, 2)
-    assert harmonics._symbol("dlambda_over_sin", 4)[1] is R
-    with pytest.raises(ValueError):
-        R[1, 0, 1] = 0.0
-    before = harmonics._symbol_of.cache_info().currsize
-    with pytest.raises(ValueError, match="unknown derivative tag"):
-        harmonics._symbol("dphi", 4)
-    assert harmonics._symbol_of.cache_info().currsize == before
 
 
 def test_spectral_function_owns_its_coefficients():
