@@ -15,18 +15,18 @@ q(theta, lam) = exp(i lam/2) exp(k theta/2), on which
     comp_2 = -sqrt2 ((1/sin) d_lam U + d_theta W)
     comp_3 =  sqrt2 (d_theta U - (1/sin) d_lam W)
 
-and ambient evaluation anywhere on S^3 goes through the rotation columns
-R_i(q) = q i_hat_i conj(q):  v2 f = -sqrt2 R3 . grad_{S^2} F and
-v3 f = sqrt2 R2 . grad_{S^2} F for any invariant f, with the angles of
-pi(q) read off R1.  The potentials are synthesized as one stack, both
-tangential derivatives in one call.
-A node plan prepares one set of S^3 points: the point plan of pi(q), the
-unit frame and the rotation columns from one set of products q i, q j,
-q k, and e_theta, e_lambda at pi(q).  It then assembles ambient values of
-any number of fields, every value and derivative from one Legendre table
-build; a degree-0 u or w has zero derivatives and is not evaluated.
-FrameField.evaluate, contact_field_at and invariant_gradient_frame make
-a plan per call.
+and the field anywhere on S^3 is carried from them along its fibre,
+X(q exp(t i)) = X(q) exp(t i), so X(q) = V(pi q) q with the pure
+quaternion V = A pi + (B e_theta + C e_lambda) / sqrt2 at pi(q); at a
+section point s the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) s
+is the unit frame.  _section forms (A, B, C) for grids and scattered
+points alike, synthesizing u and w as one stack, both tangential
+derivatives in one call; a degree-0 u or w has zero derivatives and is
+not evaluated.  A node plan prepares one set of S^3 points: the point plan
+of pi(q) and the carried frame.  It then assembles ambient values of any
+number of fields, every value and derivative from one Legendre table
+build.  FrameField.evaluate, contact_field_at and invariant_gradient_frame
+make a plan per call.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
 Reeb-invariant, so it is integrated on the section lift over the Gauss
@@ -63,57 +63,50 @@ def _as_spectral(f):
 
 def invariant_gradient_frame(f, q):
     """(v2 f, v3 f) at S^3 points for a Reeb-invariant f."""
-    ((_, v2f, v3f),) = _NodePlan(q).components([FrameField.gradient(f)])
-    return v2f, v3f
+    c = geometry.frame_components(q, FrameField.gradient(f).evaluate(q))
+    return c[..., 1], c[..., 2]
+
+
+def _section(evaluate, X):
+    """Section components (A, B, C) of X from evaluate(coeffs, deriv), a
+    synthesis of coefficient stacks on a grid or at the points of a plan;
+    a degree-0 u or w has zero derivatives and is not evaluated."""
+    A = evaluate(X.a.coeffs, None)
+    L = max(X.u.L, X.w.L)
+    live = [f.padded(L).coeffs for f in (X.u, X.w) if f.L > 0]
+    d = iter(evaluate(np.stack(live), TANGENTIAL) if live else ())
+    zero = np.zeros((2,) + A.shape)
+    (u_th, u_lm), (w_th, w_lm) = (next(d) if f.L > 0 else zero for f in (X.u, X.w))
+    return A, -SQRT2 * (u_lm + w_th), SQRT2 * (u_th - w_lm)
 
 
 class _NodePlan:
     """S^3 points q (..., 4) prepared for field evaluation: the point plan
-    of pi(q), the unit frame, the rotation columns R2, R3 and the
-    spherical unit vectors e_theta, e_lambda at pi(q).  Only the fields
-    change between evaluations on one plan; every array is read-only."""
+    of pi(q) and the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) q
+    [3, ..., 4], read-only.  Only the fields change between evaluations on
+    one plan."""
 
     def __init__(self, q):
-        self.frame, (r1, self.r2, self.r3) = geometry._frame_and_columns(q)
-        theta, lam = geometry._sphere_angles(r1)
+        q = geometry._unit_points(q, "q")
+        pi = geometry.hopf_point(q)
+        theta, lam = geometry._sphere_angles(pi)
         self.points = _PointPlan(theta, lam)
         st, ct = np.sin(theta), np.cos(theta)
         sl, cl = np.sin(lam), np.cos(lam)
-        self.e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
-        self.e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
-        self.zero = np.zeros(theta.shape)
-        for a in (*self.frame, self.r2, self.r3, self.e_th, self.e_lm, self.zero):
-            _frozen(a)
-
-    def _v23(self, f, values):
-        """(v2 f, v3 f) of a potential from its next (d_theta, d_lam) values;
-        zero for degree 0, whose derivatives vanish and are not evaluated."""
-        if f.L == 0:
-            return self.zero, self.zero
-        d_theta, d_lam = next(values)
-        grad = d_theta[..., None] * self.e_th + d_lam[..., None] * self.e_lm
-        return (-SQRT2 * np.sum(self.r3 * grad, axis=-1),
-                SQRT2 * np.sum(self.r2 * grad, axis=-1))
-
-    def components(self, fields):
-        """Unit-frame components (c1, c2, c3) of each field, via the global
-        rotation-column identities, from one Legendre table build."""
-        pairs = []
-        for X in fields:
-            pairs += [(X.a, None)] + [(f, TANGENTIAL) for f in (X.u, X.w) if f.L > 0]
-        values = iter(self.points.evaluate(pairs))
-        out = []
-        for X in fields:
-            av = next(values)
-            (u2, u3), (w2, w3) = self._v23(X.u, values), self._v23(X.w, values)
-            out.append((av, u2 - w3, u3 + w2))
-        return out
+        e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
+        e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
+        V = np.stack([pi, e_th / SQRT2, e_lm / SQRT2])
+        V = np.concatenate([np.zeros(V.shape[:-1] + (1,)), V], axis=-1)
+        self.frame = _frozen(geometry.qmul(V, q))
 
     def ambient(self, fields):
-        """Ambient R^4 values of each field at the points."""
-        v1, v2, v3 = self.frame
-        return [c1[..., None] * v1 + c2[..., None] * v2 + c3[..., None] * v3
-                for c1, c2, c3 in self.components(fields)]
+        """Ambient R^4 values of each field at the points, sum of its section
+        components times the carried frame; the tables grow once, to the
+        largest degree among the fields."""
+        self.points.arrays(max(X.degree for X in fields))
+        return [sum(c[..., None] * v
+                    for c, v in zip(_section(self.points.evaluate, X), self.frame))
+                for X in fields]
 
 
 class FrameField:
@@ -179,16 +172,12 @@ class FrameField:
 
     def components(self, grid):
         """Section component grids (A, B, C) in the unit frame (v1, v2, v3)."""
-        A = synthesize(self.a, grid)
-        L = max(self.u.L, self.w.L)
-        uw = np.stack([self.u.padded(L).coeffs, self.w.padded(L).coeffs])
-        (u_th, u_lm), (w_th, w_lm) = synthesize(uw, grid, deriv=TANGENTIAL)
-        B = -SQRT2 * (u_lm + w_th)
-        C = SQRT2 * (u_th - w_lm)
-        return (GridFunction(grid, A), GridFunction(grid, B), GridFunction(grid, C))
+        return tuple(GridFunction(grid, c)
+                     for c in _section(lambda c, deriv: synthesize(c, grid, deriv), self))
 
     def evaluate(self, q):
-        """Ambient R^4 values of the field at S^3 points (..., 4)."""
+        """Ambient R^4 values of the field at S^3 points (..., 4), carried
+        from its section components at pi(q) (see _NodePlan)."""
         return _NodePlan(q).ambient([self])[0]
 
     # -- differential structure -------------------------------------------------

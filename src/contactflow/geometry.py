@@ -35,9 +35,6 @@ VOL_S3 = 4.0 * np.pi ** 2     # total mu-volume
 SQRT2 = np.sqrt(2.0)
 
 _IQ = np.array([0.0, 1.0, 0.0, 0.0])
-_JQ = np.array([0.0, 0.0, 1.0, 0.0])
-_KQ = np.array([0.0, 0.0, 0.0, 1.0])
-_IMAG = (_IQ, _JQ, _KQ)
 
 # 8th-order central first/second difference weights (offsets -4..4)
 _FD1_W = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
@@ -86,8 +83,11 @@ def hopf_angles(q):
 
 
 def _sphere_angles(x):
-    """Colatitude/longitude of points x (..., 3) of S^2, pole on the first axis."""
-    theta = np.arccos(np.clip(x[..., 0], -1.0, 1.0))
+    """Colatitude/longitude of points x (..., 3) of S^2, pole on the first axis.
+
+    The colatitude is an arctan2, accurate to round-off also at the poles,
+    where arccos of a first coordinate one ulp below 1 would give 1.5e-8."""
+    theta = np.arctan2(np.hypot(x[..., 1], x[..., 2]), x[..., 0])
     lam = np.arctan2(x[..., 2], x[..., 1])
     return theta, lam
 
@@ -105,34 +105,14 @@ def section_lift(theta, lam):
     return qmul(a, b)
 
 
-def _right_products(q):
-    """(q i, q j, q k): the products the unit frame and the rotation
-    columns are both made of."""
-    q = np.asarray(q, dtype=float)
-    return tuple(qmul(q, np.broadcast_to(e, q.shape)) for e in _IMAG)
-
-
-def _frame_and_columns(q):
-    """(unit_frame(q), rotation_columns(q)) from one set of right products."""
-    q = np.asarray(q, dtype=float)
-    qi, qj, qk = products = _right_products(q)
-    qc = qconj(q)
-    return ((qi, qj / SQRT2, qk / SQRT2),
-            tuple(qmul(p, qc)[..., 1:] for p in products))
-
-
-def rotation_columns(q):
-    """Columns (R1, R2, R3) of the rotation v -> q v conj(q) on Im H = R^3.
-
-    R1 = pi(q); on the section lift R2, R3 are the spherical unit vectors
-    e_theta, e_lambda at pi(q).
-    """
-    return _frame_and_columns(q)[1]
-
-
 def unit_frame(q):
-    """g-orthonormal frame (v1, v2, v3) = (q i, q j / sqrt2, q k / sqrt2)."""
-    qi, qj, qk = _right_products(q)
+    """g-orthonormal frame (v1, v2, v3) = (q i, q j / sqrt2, q k / sqrt2), the
+    products formed exactly by permuting and negating q = (w, x, y, z)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = (q[..., i] for i in range(4))
+    qi = np.stack([-x, w, z, -y], axis=-1)
+    qj = np.stack([-y, -z, w, x], axis=-1)
+    qk = np.stack([-z, y, -x, w], axis=-1)
     return qi, qj / SQRT2, qk / SQRT2
 
 
@@ -219,8 +199,10 @@ def _pullback(f):
 
 def _stencil(F, pts, weights):
     """sum_k weights[k] F(pts[k]) over the leading stencil axis of pts, added
-    in offset order; a FrameField's values still round differently with the
-    batch size (~1e-15), so a point's result can too."""
+    in offset order, so a point's result depends on its batch only through
+    F.  The stencil's nine points never make a single-point evaluation, the
+    one case in which an invariant field's value rounds differently (~1 ulp)
+    from its row in a batch (see harmonics._PointPlan.evaluate)."""
     return sum(w * v for w, v in zip(weights, F(pts)))
 
 
@@ -427,6 +409,18 @@ def _random_rotations(rng, n):
 
 # ---------------------------------------------------------------------------
 # quadrature
+
+def _unit_points(q, name):
+    """q as a float array of unit quaternions (..., 4): finite, with
+    |norm - 1| <= 1e-12; otherwise ValueError naming the argument."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim < 1 or q.shape[-1] != 4:
+        raise ValueError("%s must be S^3 points of shape (..., 4), got shape %s"
+                         % (name, q.shape))
+    if not np.all(np.abs(np.linalg.norm(q, axis=-1) - 1.0) <= 1e-12):
+        raise ValueError("%s must be finite unit quaternions (|norm - 1| <= 1e-12)" % name)
+    return q
+
 
 def _positive_count(n, needs, least=1):
     """n as an int >= least; a bool, a non-integer or a smaller value raises

@@ -45,9 +45,10 @@ shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
 the nodes' weights and theta, and of a longitude plan, one per nlon, which
 holds lam and the rows, grown and sliced like the tables; a fresh grid per
 bracket builds neither.  A point plan prepares scattered points, adding
-rows that grow with its tables, then evaluates any number of (function,
-tag or tuple) pairs on them: a one-shot point set builds its plan per
-call, a plan kept for fixed nodes builds its tables once.
+rows that grow with its tables, then evaluates any number of coefficient
+stacks on them with synthesize's tags and shapes: a one-shot point set
+builds its plan per call, a plan kept for fixed nodes builds its tables
+once.
 All plan arrays are read-only.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
@@ -473,7 +474,7 @@ class SpectralFunction:
 
     def evaluate_base(self, theta, lam, deriv=None):
         """Scattered evaluation at colatitude/longitude arrays."""
-        return _PointPlan(theta, lam).evaluate([(self, deriv)])[0]
+        return _PointPlan(theta, lam).evaluate(self.coeffs, deriv)
 
     def pullback(self, q):
         """Values of the Reeb-invariant extension at S^3 points (..., 4)."""
@@ -570,18 +571,22 @@ class _PointPlan(_TablePlan):
         data["rows"] = _rows(ca * cb - sa * sb, sa * cb + ca * sb)
         return data
 
-    def evaluate(self, pairs):
-        """Values of (function, tag) pairs at the points, shaped like theta;
-        a tuple of tags adds a leading tag axis, one Legendre product for all."""
-        lon = self.arrays(max(f.L for f, _ in pairs))["rows"]
-        out = []
-        for f, deriv in pairs:
-            tables, rows, ntag, single = _tags(deriv)
-            n = f.L + 1
-            ab = _forward(f.coeffs, self.stack(f.L, tables)).reshape(2 * n, ntag, -1)
-            v = np.sum(ab * lon[: 2 * n, rows], axis=0)
-            out.append(v.reshape(self.shape if single else (ntag,) + self.shape))
-        return out
+    def evaluate(self, coeffs, deriv=None):
+        """Values of a coefficient stack (..., L+1, 2L+1) at the points, with
+        synthesize's shapes: (..., *shape) for one tag, (..., ntag, *shape)
+        for a tuple of tags, from one Legendre product.
+
+        A point's values do not depend on the other points of its plan with
+        one exception, seen at ~1 ulp: a single tag at a single point is a
+        one-column matmul in _forward, which numpy hands to a different
+        kernel, so it rounds differently from that point's row of a batch."""
+        L, batch = coeffs.shape[-2] - 1, coeffs.shape[:-2]
+        tables, rows, ntag, single = _tags(deriv)
+        lon = self.arrays(L)["rows"][: 2 * (L + 1), rows]      # [(m, a/b), tag, j]
+        ab = _forward(coeffs, self.stack(L, tables))           # [m, a/b, ..., (tag, j)]
+        ab = ab.reshape((2 * (L + 1),) + batch + lon.shape[1:])
+        v = np.sum(ab * lon.reshape(lon.shape[:1] + (1,) * len(batch) + lon.shape[1:]), axis=0)
+        return v.reshape(batch + (self.shape if single else (ntag,) + self.shape))
 
 
 def _analysis(values, grid, L, deriv):

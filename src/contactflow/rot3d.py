@@ -90,8 +90,9 @@ def curl_fd(X, points, step=geometry.FD_STEP):
         (rot X)_2 = 2 x_2 - (v3 x_1 - v1 x_3)
         (rot X)_3 = 2 x_3 - (v1 x_2 - v2 x_1)
     on the metric components x_i = g(X, v_i), one stencil call per axis v_i.
+    points must be unit quaternions (ValueError otherwise).
     """
-    points = np.asarray(points, dtype=float)
+    points = geometry._unit_points(points, "points")
     comps = _frame_components(X)
     d = [geometry.frame_derivative(comps, i, points, step=step) for i in range(3)]
     x = comps(points)
@@ -106,9 +107,10 @@ def divergence_fd(X, points, step=geometry.FD_STEP):
 
     The unit frame is divergence-free (unimodularity), so no frame terms.
     X is a FrameField, or a sequence of them evaluated together on one node
-    plan per stencil point set, which adds a trailing field axis.
+    plan per stencil point set, which adds a trailing field axis.  points
+    must be unit quaternions (ValueError otherwise).
     """
-    points = np.asarray(points, dtype=float)
+    points = geometry._unit_points(points, "points")
     comps = _frame_components(X)
     return sum(geometry.frame_derivative(comps, i, points, step=step)[..., i]
                for i in range(3))

@@ -109,9 +109,8 @@ def test_one_legendre_build_per_point_set():
     X = FrameField(f, u, w)
     calls = traced_calls(lambda: X.evaluate(q))
     assert calls["harmonics.legendre_tables"] == 1
-    # q i, q j, q k (3) serve the unit frame and, times conj(q), the
-    # rotation columns (3); pi(q) is their R1
-    assert calls["geometry.qmul"] == 6
+    # pi(q) = q i conj(q) (2) and the carried frame (pi, e_theta, e_lambda) q (1)
+    assert calls["geometry.qmul"] == 3
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
     # a pairing of degrees 3 and 5 grows its grid's shared tables once per
@@ -146,9 +145,9 @@ def test_rot_report_prepares_each_point_set_once():
     assert calls["harmonics.legendre_tables"] == 5
     assert calls["geometry.frame_derivative"] == 3
     assert calls["rot3d.divergence_fd"] == 1
-    # 6 per node plan (4), 1 per stencil circle (3) and 3 for the unit
-    # frame of each stencil's metric components (3)
-    assert calls["geometry.qmul"] == 36
+    # 3 per node plan (4) and 1 per stencil circle (3); the unit frame of
+    # each stencil's metric components permutes q and multiplies nothing
+    assert calls["geometry.qmul"] == 15
 
 
 def test_warm_pairing_synthesizes_on_its_gauss_grid():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactflow import fields, geometry
 from contactflow.fields import (
@@ -9,8 +11,6 @@ from contactflow.fields import (
     invariant_gradient_frame,
 )
 from contactflow.harmonics import SpectralFunction, SphereGrid
-from contactflow.metrics import MetricKind, inner
-from contactflow.rot3d import dmu_inner
 
 
 def unit_points(rng, n):
@@ -143,3 +143,36 @@ def test_xi_component_of_contact_field_is_its_hamiltonian():
     pts = unit_points(rng, 8)
     comp0 = geometry.frame_components(pts, X.evaluate(pts))[:, 0]
     assert np.max(np.abs(comp0 - f.pullback(pts))) < 1e-12
+
+
+_POLES = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, -1.0, 0.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(degrees=st.tuples(*[st.integers(0, 12)] * 3), n=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluated_fields_are_reeb_invariant(degrees, n, seed):
+    # X(q exp(t i)) = X(q) exp(t i), the identity that carries a field from
+    # its section components; the Hopf poles (the first four points) have
+    # no longitude of their own
+    rng = np.random.default_rng(seed)
+    X = FrameField(*(SpectralFunction.random(L, rng) for L in degrees))
+    q = np.concatenate([_POLES, unit_points(rng, n)])
+    t = rng.uniform(0.0, 2.0 * np.pi, q.shape[0])
+    want = geometry.quat_circle(X.evaluate(q), 0, t)
+    got = X.evaluate(geometry.quat_circle(q, 0, t))
+    scale = max(1.0, np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_a_point_alone_matches_its_batch_row_to_round_off():
+    # a single tag at a single point is a one-column matmul, which rounds
+    # differently from a batch (~1 ulp); the bound pins that difference
+    rng = np.random.default_rng(25)
+    X = FrameField(*(SpectralFunction.random(12, rng) for _ in range(3)))
+    q = unit_points(rng, 9)
+    batch = X.evaluate(q)
+    scale = max(1.0, np.max(np.abs(batch)))
+    for p, row in zip(q, batch):
+        assert np.max(np.abs(X.evaluate(p) - row)) <= 1e-15 * scale

@@ -224,19 +224,6 @@ def test_zero_tangent_in_a_batch_gives_zero():
     assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13
 
 
-def test_frame_and_rotation_columns_share_their_products():
-    q = unit_points(np.random.default_rng(12), 9)
-    frame, columns = geometry._frame_and_columns(q)
-    for a, b in zip(frame, unit_frame(q)):
-        assert np.array_equal(a, b)
-    for a, b in zip(columns, geometry.rotation_columns(q)):
-        assert np.array_equal(a, b)
-    # R1 is the Hopf projection, bit for bit, and R2, R3 complete it to a rotation
-    assert np.array_equal(columns[0], geometry.hopf_point(q))
-    R = np.stack(columns, axis=-1)
-    assert np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3))) < 1e-14
-
-
 def test_metric_from_a_given_qi_is_the_metric():
     rng = np.random.default_rng(13)
     q = unit_points(rng, 7)
@@ -245,5 +232,8 @@ def test_metric_from_a_given_qi_is_the_metric():
     got = metric(q, u, v)
     assert np.array_equal(got, 2.0 * np.sum(u * v, axis=-1)
                           - theta_form(q, u) * theta_form(q, v))
-    # the unit frame's v1 is that product, bit for bit
+    # the unit frame's v1 is that product, bit for bit, and v2, v3 are
+    # q j / sqrt2 and q k / sqrt2 with the bits of qmul
     assert np.array_equal(unit_frame(q)[0], qi)
+    for e, v in zip(np.eye(4)[2:], unit_frame(q)[1:]):
+        assert np.array_equal(v, qmul(q, np.broadcast_to(e, q.shape)) / geometry.SQRT2)

@@ -163,21 +163,24 @@ def test_point_plan_values_match_a_fresh_plan_whatever_came_first():
     theta, lam = rng.uniform(0.0, np.pi, 9), rng.uniform(0.0, 2.0 * np.pi, 9)
     plan = harmonics._PointPlan(theta, lam)
     for L in (2, 9, 4, 12, 9):
-        f = SpectralFunction.random(L, rng)
-        pairs = [(f, t) for t in (None, "dtheta", "dlambda_over_sin")]
-        want = harmonics._PointPlan(theta, lam).evaluate(pairs)
-        for got, w in zip(plan.evaluate(pairs), want):
-            assert np.array_equal(got, w)
+        coeffs = np.stack([SpectralFunction.random(L, rng).coeffs for _ in range(2)])
+        for deriv in (None, "dtheta", "dlambda_over_sin", harmonics.TANGENTIAL):
+            want = harmonics._PointPlan(theta, lam).evaluate(coeffs, deriv)
+            assert np.array_equal(plan.evaluate(coeffs, deriv), want)
 
 
 def test_point_plan_builds_once_at_the_largest_degree():
-    # pairs in ascending degree would grow a per-pair build at every pair
+    # fields in ascending degree would grow a per-field build at every field
     from test_bench_hooks import traced_calls
 
+    from contactflow.fields import FrameField, _NodePlan
+
     rng = np.random.default_rng(13)
-    theta, lam = rng.uniform(0.0, np.pi, 5), rng.uniform(0.0, 2.0 * np.pi, 5)
-    pairs = [(SpectralFunction.random(L, rng), None) for L in (1, 3, 6, 8)]
-    calls = traced_calls(lambda: harmonics._PointPlan(theta, lam).evaluate(pairs))
+    q = rng.standard_normal((5, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    fields = [FrameField(*(SpectralFunction.random(L, rng) for _ in range(3)))
+              for L in (1, 3, 6, 8)]
+    calls = traced_calls(lambda: _NodePlan(q).ambient(fields))
     assert calls["harmonics.legendre_tables"] == 1
 
 

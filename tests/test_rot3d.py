@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactflow import geometry
-from contactflow.fields import FrameField, _NodePlan, contact_field
+from contactflow.fields import FrameField, _NodePlan, contact_field, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import biinvariant_inner
 from contactflow.rot3d import (
@@ -126,9 +126,28 @@ def test_residuals_on_a_shared_plan_match_fresh_evaluations():
         fresh = (X - Y).evaluate(pts)
         assert np.array_equal(plan.ambient([X - Y])[0], fresh)
         assert _ambient_residual(X, Y, plan) == np.max(np.linalg.norm(fresh, axis=-1))
-    for arr in (*plan.frame, plan.r2, plan.r3, plan.e_th, plan.e_lm, plan.zero):
+    for arr in (plan.frame, *plan.frame):
         with pytest.raises(ValueError):
             arr.flat[0] = 1.0
+
+
+_FIELD = FrameField(SpectralFunction.mode(2, 1), SpectralFunction.mode(1, 0),
+                    SpectralFunction.mode(3, -2))
+_Q = np.array([0.5, 0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: curl_fd(_FIELD, np.zeros(3)), "points"),         # was an IndexError
+    (lambda: curl_fd(_FIELD, np.zeros(4)), "points"),         # returned zeros
+    (lambda: divergence_fd(_FIELD, 2.0 * _Q), "points"),      # returned a value
+    (lambda: contact_field_at(SpectralFunction.mode(2, 1), 2.0 * _Q), "q"),
+    (lambda: _FIELD.evaluate([_Q, [np.nan, 0.0, 0.0, 1.0]]), "q"),   # returned NaN
+    (lambda: divergence_fd([_FIELD], [_Q, (1.0 + 1e-11) * _Q]), "points"),
+], ids=["curl_fd-3-vector", "curl_fd-zero", "divergence_fd-2q", "contact_field_at-2q",
+        "evaluate-nan", "divergence_fd-sequence-off-by-1e-11"])
+def test_points_off_the_sphere_are_rejected(call, name):
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        call()
 
 
 def test_inverse_rejects_nonzero_mean():
