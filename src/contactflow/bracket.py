@@ -170,21 +170,19 @@ def structure_constants(L):
 # ---------------------------------------------------------------------------
 # verification oracles
 
-def verify_homomorphism(f, h, n_points=8, seed=0, step=geometry.FD_STEP):
+def verify_homomorphism(f, h, n_points=8, seed=0):
     """Max sample-point residual of [X_f, X_h] = X_{[f,h]}.
 
     The left side is a finite-difference Lie bracket of the ambient field
     evaluations, one lie_bracket_fd call over the (n_points, 4) batch; the
     right side is the contact field of the spectral bracket.  Returns the
-    max Euclidean norm of the difference.
+    max Euclidean norm of the difference.  n_points must be an integer >= 1
+    (ValueError otherwise).
     """
-    if n_points < 1:
-        raise ValueError("verify_homomorphism needs n_points >= 1")
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(n_points, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    n_points = geometry._positive_count(n_points, "verify_homomorphism needs n_points")
+    q = geometry._random_points(np.random.default_rng(seed), n_points)
     Xf, Xh = partial(contact_field_at, f), partial(contact_field_at, h)
-    left = geometry.lie_bracket_fd(Xf, Xh, q, step=step)
+    left = geometry.lie_bracket_fd(Xf, Xh, q)
     right = contact_field_at(lagrange_bracket(f, h), q)
     return float(np.max(np.linalg.norm(left - right, axis=-1)))
 

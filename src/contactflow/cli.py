@@ -3,8 +3,11 @@
 Subcommands: axioms, brackets, curvature, evolve, rot, calibrate.  A flat
 key=value config file may supply any flag; its values are checked exactly
 like the matching flags, and explicit flags win.  `evolve` needs t_end to
-be a multiple of dt.  Output is deterministic for a fixed config: floats
-are serialized with repr, JSON keys are sorted, no timestamps.
+be a multiple of dt.  Output is deterministic for a fixed config and a
+fixed BLAS thread count: floats are serialized with repr, JSON keys are
+sorted, no timestamps.  Another thread count may sum large matrix products
+in another order, which can change the last bits of a value (evolve's
+Casimir columns at L >= 48).
 
 Exit status: 0 success; 1 a check failed (the failing residual is named on
 stderr) or the flow blew up; 2 a usage or config error, reported on stderr

@@ -136,7 +136,7 @@ def _single_degree(f):
     return degs[0]
 
 
-def k_eigen(f, h, alpha=None, beta=None):
+def k_eigen(f, h):
     """Eigenfunction curvature formula (right-invariant metric), quadrature.
 
     f, h must be single-degree; the pair is orthonormalized in the energy
@@ -145,10 +145,7 @@ def k_eigen(f, h, alpha=None, beta=None):
     lf, lh = _single_degree(f), _single_degree(h)
     if lf is None or lh is None:
         raise ValueError("k_eigen needs single-degree eigenfunction inputs")
-    if alpha is None:
-        alpha = eigenvalue(lf)
-    if beta is None:
-        beta = eigenvalue(lh)
+    alpha, beta = eigenvalue(lf), eigenvalue(lh)
     sigma = SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
     b = lagrange_bracket(sigma.f, sigma.h)
     k = _quad_inners([(b, b.laplacian()), (b, b), (b, b.inverse_helmholtz())])
@@ -163,7 +160,7 @@ def k_eigen(f, h, alpha=None, beta=None):
 STRUCTURAL_SIGN = 1
 
 
-def structural_sign(tol=1e-8):
+def structural_sign():
     """Measured overall sign of the structure-constant curvature form.
 
     An oracle, not a cache: every call compares the form on the degree-1
@@ -173,7 +170,7 @@ def structural_sign(tol=1e-8):
     reference = k_eigen(basis_function(2), basis_function(3))
     magnitude = _structural_form(structure_constants(1), 2, 3)
     for sign in (1, -1):
-        if abs(sign * magnitude - reference) < tol * max(1.0, abs(reference)):
+        if abs(sign * magnitude - reference) < 1e-8 * max(1.0, abs(reference)):
             return sign
     raise RuntimeError(
         "structure-constant curvature matches k_eigen under neither sign: "

@@ -25,8 +25,7 @@ derivatives in one call; a degree-0 u or w has zero derivatives and is
 not evaluated.  A node plan prepares one set of S^3 points: the point plan
 of pi(q) and the carried frame.  It then assembles ambient values of any
 number of fields, every value and derivative from one Legendre table
-build.  FrameField.evaluate, contact_field_at and invariant_gradient_frame
-make a plan per call.
+build.  FrameField.evaluate and contact_field_at make a plan per call.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
 Reeb-invariant, so it is integrated on the section lift over the Gauss
@@ -59,12 +58,6 @@ def _as_spectral(f):
     if isinstance(f, SpectralFunction):
         return f
     return SpectralFunction.constant(float(f))
-
-
-def invariant_gradient_frame(f, q):
-    """(v2 f, v3 f) at S^3 points for a Reeb-invariant f."""
-    c = geometry.frame_components(q, FrameField.gradient(f).evaluate(q))
-    return c[..., 1], c[..., 2]
 
 
 def _section(evaluate, X):
@@ -185,20 +178,6 @@ class FrameField:
     def divergence(self):
         """div X = -Delta u (the xi and phi-grad parts are divergence-free)."""
         return -self.u.laplacian()
-
-    def g_inner_M(self, other):
-        """int_M g(X, Y) dmu for two invariant fields, spectrally.
-
-        Cross terms between the xi, grad, and phi-grad blocks integrate to
-        zero; the gradient blocks contribute through the Dirichlet form,
-        whose eigenvalue is exactly alpha_l.
-        """
-        from .harmonics import inner_M
-
-        total = inner_M(self.a, other.a)
-        total += inner_M(self.u.laplacian(), other.u)
-        total += inner_M(self.w.laplacian(), other.w)
-        return total
 
 
 def contact_field(f):

@@ -13,6 +13,8 @@ measurement of the method, not a property being enforced.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +38,16 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowState:
+    """The momentum h at time t: h must be a SpectralFunction (TypeError
+    otherwise) and t a finite real number (ValueError otherwise)."""
     h: SpectralFunction
     t: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.h, SpectralFunction):
+            raise TypeError("FlowState needs h to be a SpectralFunction, got %r" % (self.h,))
+        if not (isinstance(self.t, numbers.Real) and math.isfinite(self.t)):
+            raise ValueError("FlowState needs t to be a finite real number, got %r" % (self.t,))
 
 
 @dataclass(frozen=True)

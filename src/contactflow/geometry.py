@@ -206,63 +206,63 @@ def _stencil(F, pts, weights):
     return sum(w * v for w, v in zip(weights, F(pts)))
 
 
-def _frame_stencil(f, axis, p, step, weights, order):
+def _frame_stencil(f, axis, p, weights, order):
     speed = 1.0 if axis == 0 else SQRT2
-    p = np.asarray(p, dtype=float)
-    t = (_FD_OFFSETS * step / speed).reshape((-1,) + (1,) * (p.ndim - 1))
-    return _stencil(_pullback(f), quat_circle(p, axis, t), weights) / step ** order
+    p = _unit_points(p, "p")
+    t = (_FD_OFFSETS * FD_STEP / speed).reshape((-1,) + (1,) * (p.ndim - 1))
+    return _stencil(_pullback(f), quat_circle(p, axis, t), weights) / FD_STEP ** order
 
 
-def frame_derivative(f, axis, p, step=FD_STEP):
+def frame_derivative(f, axis, p):
     """Derivative of f along the unit frame field v_axis at points p (..., 4).
 
     f may be any callable taking quaternions (..., 4) -> values; the result
     has p's batch shape, then f's value shape (a scalar for one point (4,)
     and scalar f).  axis is 0, 1, 2 for v1 = xi, v2, v3.  Eighth-order central
-    differences along the exact circle p * exp(t i_hat / speed), where v2, v3
-    have speed sqrt(2).
+    differences of step FD_STEP along the exact circle p * exp(t i_hat / speed),
+    where v2, v3 have speed sqrt(2).  p must be unit quaternions (ValueError
+    otherwise), as must the points of every finite-difference oracle below.
     """
-    return _frame_stencil(f, axis, p, step, _FD1_W, 1)
+    return _frame_stencil(f, axis, p, _FD1_W, 1)
 
 
-def frame_second_derivative(f, axis, p, step=FD_STEP):
+def frame_second_derivative(f, axis, p):
     """Second derivative along v_axis (same stencil and batch conventions)."""
-    return _frame_stencil(f, axis, p, step, _FD2_W, 2)
+    return _frame_stencil(f, axis, p, _FD2_W, 2)
 
 
-def _circle_derivative(F, q, v, step):
+def _circle_derivative(F, q, v):
     """Derivative of F at points q along tangents v (..., 4), on the great
     circle toward v; a zero tangent gets a zero direction and derivative 0."""
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v, axis=-1)
     u = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0)
-    ts = (_FD_OFFSETS * step).reshape((-1,) + (1,) * v.ndim)
-    d = _stencil(F, np.cos(ts) * q + np.sin(ts) * u, _FD1_W) / step
+    ts = (_FD_OFFSETS * FD_STEP).reshape((-1,) + (1,) * v.ndim)
+    d = _stencil(F, np.cos(ts) * q + np.sin(ts) * u, _FD1_W) / FD_STEP
     return d * nv.reshape(nv.shape + (1,) * (d.ndim - nv.ndim))
 
 
-def directional_derivative(f, q, v, step=FD_STEP):
+def directional_derivative(f, q, v):
     """Derivative of f at points q along tangents v (..., 4), via great circles."""
-    return _circle_derivative(_pullback(f), q, v, step)
+    return _circle_derivative(_pullback(f), _unit_points(q, "q"), v)
 
 
-def lie_bracket_fd(X, Y, q, step=FD_STEP):
+def lie_bracket_fd(X, Y, q):
     """[X, Y] at points q (..., 4) of tangent fields, by central differences.
 
     X, Y: callables (..., 4) -> (..., 4) returning tangent vectors.
     """
-    q = np.asarray(q, dtype=float)
-    return (_circle_derivative(Y, q, X(q), step)
-            - _circle_derivative(X, q, Y(q), step))
+    q = _unit_points(q, "q")
+    return _circle_derivative(Y, q, X(q)) - _circle_derivative(X, q, Y(q))
 
 
-def measure_laplace_eigenvalue_degree1(seed=7):
+def measure_laplace_eigenvalue_degree1():
     """Oracle: Laplace eigenvalue on a degree-1 Hopf pullback.
 
     Lap f = -(v2^2 + v3^2) f for Reeb-invariant f, measured by frame finite
     differences on f = x1 o pi at a generic point.  Calibration gives 4.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     f = lambda qq: hopf_point(qq)[..., 0]
@@ -270,13 +270,13 @@ def measure_laplace_eigenvalue_degree1(seed=7):
     return val / f(q)
 
 
-def measure_bracket_scale(seed=7):
+def measure_bracket_scale():
     """Oracle: scale s in [f, h] = s * {F, H}_{S^2} on degree-1 pullbacks.
 
     [f, h] = (v3 f)(v2 h) - (v2 f)(v3 h) by frame finite differences, against
     the unit-sphere Poisson bracket {x1, x3} = -x2.  Calibration gives -2.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     f = lambda qq: hopf_point(qq)[..., 0]

@@ -40,16 +40,15 @@ differs.
 One table plan holds x = cos theta and the Legendre tables at x, grown to
 the largest degree asked and sliced below it; a build loops over degree
 and updates all orders at once, O(L) Python steps, writing the three
-tables in place in the stacked array.  A grid is a view of a
-shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
-the nodes' weights and theta, and of a longitude plan, one per nlon, which
-holds lam and the rows, grown and sliced like the tables; a fresh grid per
-bracket builds neither.  A point plan prepares scattered points, adding
-rows that grow with its tables, then evaluates any number of coefficient
-stacks on them with synthesize's tags and shapes: a one-shot point set
-builds its plan per call, a plan kept for fixed nodes builds its tables
-once.
-All plan arrays are read-only.
+tables in place in the stacked array.  A grid is a view of a shared
+Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds the
+nodes' weights and theta, and of a longitude plan, one per nlon, which
+holds lam and the rows of every order the nlon resolves, built once and
+sliced; a fresh grid per bracket builds neither.  A point plan prepares
+scattered points, adding rows that grow with its tables, then evaluates
+any number of coefficient stacks on them with synthesize's tags and
+shapes: a one-shot point set builds its plan per call, a plan kept for
+fixed nodes builds its tables once.  All plan arrays are read-only.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
 product of two syntheses on SphereGrid.for_integration(deg u + deg v,
@@ -73,13 +72,13 @@ SQRT_4PI = np.sqrt(4.0 * np.pi)
 def legendre_tables(x, L):
     """Normalized associated Legendre tables at abscissas x = cos(theta).
 
-    Returns (P, dP, Q) with shape (L+1, L+1, len(x)):
+    Returns the order-major array [m, l, tag, j] of shape
+    (L+1, L+1, 3, len(x)), the layout the transform kernel multiplies by,
+    with tag 0, 1, 2 for P, dP, Q:
     P[l, m] = Pbar_lm(x); dP[l, m] = d/dtheta Pbar_lm(cos theta);
     Q[l, m] = Pbar_lm / sin(theta) for m >= 1 (identically zero at m = 0).
     All three use division-free recurrences, so the tables are finite at
-    the poles.  They are views of one order-major array [m, l, tag, j],
-    tag 0, 1, 2 for P, dP, Q, their common base: the layout the transform
-    kernel multiplies by, written in place with no second copy.
+    the poles; the recurrences write them in place through (l, m, j) views.
 
     The diagonal m = l is a loop over orders; the sub-diagonal m = l - 1
     is one vectorized step, and the three-term recurrence in l is a loop
@@ -115,7 +114,7 @@ def legendre_tables(x, L):
         dP[l, : l - 1] = a * (-s * P[l - 1, : l - 1] + x * dP[l - 1, : l - 1]
                               - b * dP[l - 2, : l - 1])
         Q[l, : l - 1] = a * (x * Q[l - 1, : l - 1] - b * Q[l - 2, : l - 1])
-    return P, dP, Q
+    return stack
 
 
 def _triangle(L):
@@ -139,7 +138,7 @@ class _TablePlan:
         self._built = (-1, {})    # (degree, arrays), replaced as one value
 
     def _build(self, L):
-        return {"stack": _frozen(legendre_tables(self.x, L)[0].base)}   # [m, l, tag, j]
+        return {"stack": _frozen(legendre_tables(self.x, L))}   # [m, l, tag, j]
 
     def arrays(self, L):
         """The unsliced arrays, built at a degree >= L."""
@@ -148,10 +147,6 @@ class _TablePlan:
             data = self._build(L)
             self._built = (L, data)
         return data
-
-    def tables(self, L):
-        stack = self.arrays(L)["stack"][: L + 1, : L + 1]
-        return {k: stack[:, :, t].transpose(1, 0, 2) for t, k in enumerate(("P", "dP", "Q"))}
 
     def stack(self, L, tables):
         """[m, l, (tag, j)]: the tables at indices `tables` (a slice is a
@@ -192,8 +187,9 @@ def _rows(cos, sin):
 
 class _LonPlan:
     """One nlon's longitudes and their rows (see _rows), the longitude step
-    of every grid transform.  The rows grow to the largest L asked and are
-    sliced below it; read-only.
+    of every grid transform, read-only.  A transform of degree L needs
+    nlon >= 2L + 2, so the rows are built once for every order
+    m <= nlon // 2 - 1 and sliced below it.
 
     m lam_k is the longitude lam_(mk mod nlon), so every row entry comes from
     the cos or sin of one of the nlon longitudes, reduced exactly in integers
@@ -201,18 +197,12 @@ class _LonPlan:
 
     def __init__(self, nlon):
         self.lam = _frozen(_longitudes(nlon))
-        self._cos_sin = _frozen(np.stack([np.cos(self.lam), np.sin(self.lam)]))
-        self._built = (-1, None)    # (degree, rows), replaced as one value
+        cos_sin = np.stack([np.cos(self.lam), np.sin(self.lam)])
+        self._all_rows = _rows(*cos_sin[:, np.arange(nlon // 2)[:, None] * np.arange(nlon) % nlon])
 
     def rows(self, L):
         """(2(L+1), 2, nlon): [2m + cos/sin, kind, k], orders m <= L."""
-        built, rows = self._built
-        if L > built:
-            nlon = self.lam.size
-            cos, sin = self._cos_sin[:, np.arange(L + 1)[:, None] * np.arange(nlon) % nlon]
-            rows = _rows(cos, sin)
-            self._built = (L, rows)
-        return rows[: 2 * (L + 1)]
+        return self._all_rows[: 2 * (L + 1)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -226,8 +216,8 @@ class SphereGrid:
     for_degree(L) builds a grid on which analysis of band-L functions is
     quadrature-exact and synthesis of any degree <= L is alias-free; this
     exceeds the 3/2-rule resolution for quadratic products at the same L.
-    x, w, theta and the tables are the read-only arrays of the nlat plan,
-    lam and the longitude rows those of the nlon plan.
+    x, w, theta and the Legendre tables are the read-only arrays of the nlat
+    plan, lam and the longitude rows those of the nlon plan.
     """
 
     def __init__(self, nlat, nlon):
@@ -250,10 +240,6 @@ class SphereGrid:
         nlon = max(deg_integrand + 1, 2 * deg_synth + 2)
         nlon += nlon % 2
         return cls(nlat, nlon)
-
-    def tables(self, L):
-        """{"P", "dP", "Q"}: legendre_tables at the nodes, read-only."""
-        return self._plan.tables(L)
 
     def integrate(self, values):
         """Integral over the unit sphere (dOmega)."""
@@ -376,10 +362,10 @@ class SpectralFunction:
             f.coeffs[l, L + m] = v
         return f
 
-    def to_triples(self, drop_tol=0.0):
+    def to_triples(self):
         l, col = np.nonzero(_triangle(self.L))
         return [(int(a), int(b) - self.L, float(v))
-                for a, b, v in zip(l, col, self.coeffs[l, col]) if abs(v) > drop_tol]
+                for a, b, v in zip(l, col, self.coeffs[l, col]) if abs(v) > 0.0]
 
     # -- structure ----------------------------------------------------------
 
@@ -420,26 +406,23 @@ class SpectralFunction:
 
     # -- diagonal operators ---------------------------------------------------
 
-    def _alpha_column(self):
-        return _alpha_column_of(self.L)
-
     def laplacian(self):
-        return SpectralFunction(self.coeffs * self._alpha_column())
+        return SpectralFunction(self.coeffs * _alpha_column_of(self.L))
 
     def helmholtz(self):
         """D f = (1 + Delta) f."""
-        return SpectralFunction(self.coeffs * (1.0 + self._alpha_column()))
+        return SpectralFunction(self.coeffs * (1.0 + _alpha_column_of(self.L)))
 
     def inverse_helmholtz(self):
         """D^-1 f."""
-        return SpectralFunction(self.coeffs / (1.0 + self._alpha_column()))
+        return SpectralFunction(self.coeffs / (1.0 + _alpha_column_of(self.L)))
 
     def inverse_laplacian(self):
         """Delta^-1 f; defined only on mean-zero input."""
         if not self.mean_zero():
             raise ValueError("inverse_laplacian requires a mean-zero function")
         inv = np.zeros((self.L + 1, 1))
-        alpha = self._alpha_column()
+        alpha = _alpha_column_of(self.L)
         inv[1:] = 1.0 / alpha[1:]
         c = self.coeffs * inv
         c[0, self.L] = 0.0
@@ -451,8 +434,8 @@ class SpectralFunction:
         """Mean over S^3 with respect to dmu."""
         return float(self.coeffs[0, self.L]) / SQRT_4PI
 
-    def mean_zero(self, tol=1e-12):
-        return abs(self.coeffs[0, self.L]) <= tol * max(1.0, self.norm_base())
+    def mean_zero(self):
+        return abs(self.coeffs[0, self.L]) <= 1e-12 * max(1.0, self.norm_base())
 
     def mean_free(self):
         """The projection onto mean-zero functions (degree 0 dropped)."""
@@ -657,14 +640,6 @@ def adjoint_analyze(values, grid, L, deriv):
     the same tuple.
     """
     return _analysis(values, grid, L, deriv)
-
-
-def product(f, h):
-    """Exact pointwise product: band limit grows to f.L + h.L."""
-    D = f.L + h.L
-    grid = SphereGrid.for_degree(D)
-    vals = synthesize(f, grid) * synthesize(h, grid)
-    return analyze(GridFunction(grid, vals), D)
 
 
 def inner_M(f, h):

@@ -4,8 +4,9 @@ rot is the operator with omega_{rot X} = * d omega_X for the calibrated
 metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
 
   * curl(X): the production path, which reads the frame-component grids of
-    X over the section and recovers the curl's potentials by adjoint
-    quadrature (gradient parts drop out exactly, as curl annihilates them);
+    X over the section and recovers the curl's potentials, at the degree of
+    X, by adjoint quadrature (gradient parts drop out exactly, as curl
+    annihilates them);
   * contact_curl(f) / curl_inverse_contact(f): closed forms on contact
     fields, rot X_f = (f - Delta f) xi + phi grad f and its right inverse
     rot^-1 X_f = -f xi + 2 phi grad(Delta^-1 f);
@@ -39,15 +40,16 @@ from .harmonics import (
 )
 
 
-def curl(X, L_out=None):
+def curl(X):
     """Curl of an invariant field from its component data.
 
     The xi-component of rot X picks up the plane components through the
     adjoint of the surface gradient; the phi-grad potential of rot X is the
-    mean-free part of the xi-component of X.  Exact for band limit <= L_out.
+    mean-free part of the xi-component of X.  Exact: rot X has the degree
+    of X.
     """
-    L = X.degree if L_out is None else L_out
-    grid = SphereGrid.for_degree(max(X.degree, L))
+    L = X.degree
+    grid = SphereGrid.for_degree(L)
     A, B, C = X.components(grid)
     a_spec = analyze(A, L)
     adj = adjoint_analyze(np.stack([B.values, C.values]), grid, L, TANGENTIAL)
@@ -82,7 +84,7 @@ def _frame_components(X):
         q[..., None, :], np.stack(_NodePlan(q).ambient(X), axis=-2))
 
 
-def curl_fd(X, points, step=geometry.FD_STEP):
+def curl_fd(X, points):
     """Finite-difference curl oracle at quaternion points (..., 4), ambient values.
 
     Uses only the frame formulas
@@ -94,7 +96,7 @@ def curl_fd(X, points, step=geometry.FD_STEP):
     """
     points = geometry._unit_points(points, "points")
     comps = _frame_components(X)
-    d = [geometry.frame_derivative(comps, i, points, step=step) for i in range(3)]
+    d = [geometry.frame_derivative(comps, i, points) for i in range(3)]
     x = comps(points)
     c1 = x[..., 0] - (d[1][..., 2] - d[2][..., 1])
     c2 = 2.0 * x[..., 1] - (d[2][..., 0] - d[0][..., 2])
@@ -102,7 +104,7 @@ def curl_fd(X, points, step=geometry.FD_STEP):
     return geometry.from_frame_components(points, np.stack([c1, c2, c3], axis=-1))
 
 
-def divergence_fd(X, points, step=geometry.FD_STEP):
+def divergence_fd(X, points):
     """Finite-difference divergence oracle at points (..., 4): div X = sum_i v_i(x_i).
 
     The unit frame is divergence-free (unimodularity), so no frame terms.
@@ -112,7 +114,7 @@ def divergence_fd(X, points, step=geometry.FD_STEP):
     """
     points = geometry._unit_points(points, "points")
     comps = _frame_components(X)
-    return sum(geometry.frame_derivative(comps, i, points, step=step)[..., i]
+    return sum(geometry.frame_derivative(comps, i, points)[..., i]
                for i in range(3))
 
 

@@ -18,7 +18,8 @@ from contactflow.bracket import (
     verify_homomorphism,
 )
 from contactflow.curvature import k_structural
-from contactflow.harmonics import SpectralFunction, inner_M, product
+from contactflow.harmonics import SpectralFunction, inner_M
+from reference import product
 
 
 def test_antisymmetry_and_bilinearity():
@@ -93,8 +94,9 @@ def test_homomorphism_fd_residual():
         worst = max(worst, verify_homomorphism(f, h, n_points=4, seed=11))
     assert worst < 1e-6
     f = SpectralFunction.random(2, rng)
-    with pytest.raises(ValueError, match="n_points >= 1"):
-        verify_homomorphism(f, f, n_points=0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_points to be an integer >= 1"):
+            verify_homomorphism(f, f, n_points=bad)
 
 
 def test_jacobi_identity():

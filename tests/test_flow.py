@@ -124,3 +124,13 @@ def test_energy_log_matches_kinetic():
     cfg = IntegratorConfig(dt=1e-2, t_end=0.02)
     result = evolve(FlowState(h0, 0.0), cfg)
     assert abs(result.energy[0] - kinetic_energy(h0)) < 1e-13
+
+
+@pytest.mark.parametrize("field, bad, error", [
+    ("h", 3.0, TypeError), ("h", None, TypeError), ("h", np.zeros((2, 3)), TypeError),
+    ("t", np.nan, ValueError), ("t", -np.inf, ValueError), ("t", "0", ValueError)])
+def test_flow_state_rejects_a_bad_field_at_construction(field, bad, error):
+    # caught at construction, not later inside a step
+    good = {"h": SpectralFunction.mode(1, 0), "t": 0.0}
+    with pytest.raises(error, match="FlowState needs %s to be" % field):
+        FlowState(**{**good, field: bad})

@@ -163,6 +163,25 @@ def test_frame_derivative_on_linear_function():
         assert abs(got - want) < 1e-10
 
 
+_F = SpectralFunction.mode(3, 1)
+_Q = np.array([0.5, 0.5, 0.5, 0.5])
+_V = np.array([0.5, -0.5, 0.5, -0.5])     # a tangent at _Q
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: frame_derivative(_F, 1, np.zeros(4)), "p"),              # returned 3.3e-15
+    (lambda: frame_second_derivative(_F, 2, 2.0 * _Q), "p"),          # returned a value
+    (lambda: directional_derivative(_F, [np.nan, 0.0, 0.0, 1.0], _V), "q"),   # NaN
+    (lambda: lie_bracket_fd(partial(contact_field_at, _F), partial(contact_field_at, _F),
+                            [_Q, (1.0 + 1e-11) * _Q]), "q"),
+    (lambda: frame_derivative(_F, 0, np.zeros(3)), "p"),
+], ids=["frame_derivative-zero", "frame_second_derivative-2q",
+        "directional_derivative-nan", "lie_bracket_fd-off-by-1e-11", "frame_derivative-3-vector"])
+def test_finite_difference_points_off_the_sphere_are_rejected(call, name):
+    with pytest.raises(ValueError, match="^%s must be" % name):
+        call()
+
+
 def test_unit_frame_bracket_relations():
     # [v1,v2] = 2 v3, [v2,v3] = v1, [v3,v1] = 2 v2 at a random point
     rng = np.random.default_rng(8)

@@ -13,9 +13,9 @@ from contactflow.harmonics import (
     inner_M,
     laplace_scale,
     legendre_tables,
-    product,
     synthesize,
 )
+from reference import pdq, product
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
@@ -23,7 +23,7 @@ SQRT_4PI = np.sqrt(4.0 * np.pi)
 def test_legendre_orthonormality():
     L = 10
     x, w = np.polynomial.legendre.leggauss(L + 1)
-    P, dP, Q = legendre_tables(x, L)
+    P, dP, Q = pdq(legendre_tables(x, L))
     for m in range(L + 1):
         block = P[m:, m]                      # rows l = m..L
         gram = (block * w) @ block.T
@@ -87,8 +87,8 @@ def test_eigenvalue_rejects_a_negative_degree():
         with pytest.raises(ValueError, match="l >= 0"):
             eigenvalue(bad)
     # the diagonal operators read a shared read-only column, never the check
-    col = SpectralFunction.zeros(4)._alpha_column()
-    assert col is SpectralFunction.zeros(4)._alpha_column()
+    col = harmonics._alpha_column_of(4)
+    assert col is harmonics._alpha_column_of(4)
     assert not col.flags.writeable
     assert col.ravel().tolist() == eigenvalue(np.arange(5)).tolist()
 
@@ -144,7 +144,8 @@ def test_triples_reject_a_repeated_mode():
 def test_grid_plan_arrays_are_shared_and_read_only():
     a, b = SphereGrid(7, 16), SphereGrid.for_degree(6)
     assert a.x is b.x and a.w is b.w and a.theta is b.theta
-    for arr in (a.x, a.w, a.tables(6)["P"], a.tables(3)["dP"], b.tables(5)["Q"]):
+    for arr in (a.x, a.w, a._plan.arrays(6)["stack"], a._plan.stack(3, slice(1, 2)),
+                b._plan.stack(5, slice(0, 3))):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -153,9 +154,8 @@ def test_plan_tables_match_a_fresh_build_whatever_came_first():
     harmonics._plan.cache_clear()
     grid = SphereGrid(11, 24)
     for L in (2, 9, 4, 12, 9):
-        want = legendre_tables(grid.x, L)
-        for name, w in zip(("P", "dP", "Q"), want):
-            assert np.array_equal(grid.tables(L)[name], w)
+        got = grid._plan.arrays(L)["stack"][: L + 1, : L + 1]
+        assert np.array_equal(got, legendre_tables(grid.x, L))
 
 
 def test_point_plan_values_match_a_fresh_plan_whatever_came_first():
@@ -248,7 +248,7 @@ def test_legendre_recurrence_matches_the_mode_loop(L, x, poles):
     x = np.array(x)
     if poles:
         x[0], x[-1] = 1.0, -1.0
-    for got, want in zip(legendre_tables(x, L), _legendre_tables_by_mode(x, L)):
+    for got, want in zip(pdq(legendre_tables(x, L)), _legendre_tables_by_mode(x, L)):
         assert np.array_equal(got, want)
 
 

@@ -18,9 +18,9 @@ from contactflow.harmonics import (
     legendre_tables,
     synthesize,
 )
+from reference import pdq
 
-TAGS = (None, "dtheta", "dlambda_over_sin")
-TABLES = {None: "P", "dtheta": "dP", "dlambda_over_sin": "Q"}
+TAGS = (None, "dtheta", "dlambda_over_sin")    # in the order of their tables
 band = st.integers(0, 12)
 extra = st.integers(0, 3)
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -29,8 +29,7 @@ fast = settings(max_examples=50, deadline=None)
 
 def reference_values(f, theta, lam, tag):
     """Mode-by-mode sum of the basis functions (or their derivatives)."""
-    P, dP, Q = legendre_tables(np.cos(theta), f.L)
-    table = dict(zip(TABLES.values(), (P, dP, Q)))[TABLES[tag]]
+    table = pdq(legendre_tables(np.cos(theta), f.L))[TAGS.index(tag)]
     L = f.L
     vals = np.zeros_like(theta)
     for l in range(L + 1):
@@ -177,10 +176,10 @@ def test_plan_tables_are_views_of_one_stacked_array():
     grid = SphereGrid(9, 20)
     stack = grid._plan.arrays(6)["stack"]
     assert stack.shape == (7, 7, 3, 9)                   # [m, l, tag, j]
-    for t, name in enumerate(("P", "dP", "Q")):
-        table = grid.tables(4)[name]
+    for t in range(3):
+        table = grid._plan.stack(4, slice(t, t + 1))
         assert np.shares_memory(table, stack)
-        assert np.array_equal(table, stack[:5, :5, t].transpose(1, 0, 2))
+        assert np.array_equal(table, stack[:5, :5, t])
     # the tangential pair is one view of the stack, no copy
     assert np.shares_memory(grid._plan.stack(6, slice(1, 3)), stack)
 
@@ -209,8 +208,8 @@ def test_longitude_step_matches_an_fft_oracle(L):
     coeffs = np.stack([SpectralFunction.random(L, rng).coeffs for _ in range(2)])
     values = rng.standard_normal((2, grid.nlat, grid.nlon))
     m = np.arange(L + 1)
-    for tag in TAGS:
-        table = grid.tables(L)[TABLES[tag]].transpose(1, 0, 2)      # [m, l, j]
+    for t, tag in enumerate(TAGS):
+        table = grid._plan.stack(L, slice(t, t + 1))               # [m, l, j]
         symbol = (1j * m if tag == "dlambda_over_sin" else 1.0) / np.where(m, SQRT_PI, SQRT_2PI)
         ab = harmonics._forward(coeffs, table)                     # [m, a/b, batch, j]
         C = np.moveaxis(ab[:, 0] - 1j * ab[:, 1], 0, -1) * symbol   # [batch, j, m]
@@ -258,7 +257,7 @@ def test_point_rows_match_an_mpmath_oracle():
     rng = np.random.default_rng(64)
     lam = np.concatenate([SphereGrid.for_integration(3 * L, L).lam,
                           rng.uniform(-np.pi, 2.0 * np.pi, 64)])
-    P, _, Q = (t[L] for t in legendre_tables(np.cos(theta), L))
+    P, _, Q = (t[L] for t in pdq(legendre_tables(np.cos(theta), L)))
     for m in (1, 17, 40, 63, 64):
         with mpmath.workdps(40):       # m * lam exact, then rounded once
             wave = {f: np.array([float(f(m * mpmath.mpf(x)) / mpmath.sqrt(mpmath.pi))
