@@ -19,13 +19,13 @@ and the field anywhere on S^3 is carried from them along its fibre,
 X(q exp(t i)) = X(q) exp(t i), so X(q) = V(pi q) q with the pure
 quaternion V = A pi + (B e_theta + C e_lambda) / sqrt2 at pi(q); at a
 section point s the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) s
-is the unit frame.  _section forms (A, B, C) for grids and scattered
-points alike, synthesizing u and w as one stack, both tangential
-derivatives in one call; a degree-0 u or w has zero derivatives and is
-not evaluated.  A node plan prepares one set of S^3 points: the point plan
-of pi(q) and the carried frame.  It then assembles ambient values of any
-number of fields, every value and derivative from one Legendre table
-build.  FrameField.evaluate and contact_field_at make a plan per call.
+is the unit frame.  _section forms (A, B, C) of many fields for grids and
+scattered points alike, with one synthesis per degree of the stacked xi
+potentials and one of both tangential derivatives of the stacked u and w.
+A node plan prepares one set of S^3 points: the point plan of pi(q) and
+the carried frame.  It then assembles ambient values of any number of
+fields, every value and derivative from one Legendre table build.
+FrameField.evaluate and contact_field_at make a plan per call.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
 Reeb-invariant, so it is integrated on the section lift over the Gauss
@@ -60,17 +60,27 @@ def _as_spectral(f):
     return SpectralFunction.constant(float(f))
 
 
-def _section(evaluate, X):
-    """Section components (A, B, C) of X from evaluate(coeffs, deriv), a
-    synthesis of coefficient stacks on a grid or at the points of a plan;
-    a degree-0 u or w has zero derivatives and is not evaluated."""
-    A = evaluate(X.a.coeffs, None)
-    L = max(X.u.L, X.w.L)
-    live = [f.padded(L).coeffs for f in (X.u, X.w) if f.L > 0]
-    d = iter(evaluate(np.stack(live), TANGENTIAL) if live else ())
-    zero = np.zeros((2,) + A.shape)
-    (u_th, u_lm), (w_th, w_lm) = (next(d) if f.L > 0 else zero for f in (X.u, X.w))
-    return A, -SQRT2 * (u_lm + w_th), SQRT2 * (u_th - w_lm)
+def _section(evaluate, fields):
+    """Section components (A, B, C) of each field from evaluate(coeffs, deriv),
+    a synthesis of coefficient stacks on a grid or at the points of a plan; a
+    degree-0 u or w has zero derivatives and is not evaluated.  Bit for bit
+    each field's own, as a stack's slices are their own calls' (at 2+ points)."""
+    def by_degree(coeffs, deriv):    # one stacked evaluation per degree
+        out = {}
+        for L in dict.fromkeys(len(c) for c in coeffs):
+            idx = [i for i, c in enumerate(coeffs) if len(c) == L]
+            out.update(zip(idx, evaluate(np.stack([coeffs[i] for i in idx]), deriv)))
+        return [out[i] for i in range(len(coeffs))]
+
+    A = by_degree([X.a.coeffs for X in fields], None)
+    d = iter(by_degree([f.padded(max(X.u.L, X.w.L)).coeffs for X in fields
+                        for f in (X.u, X.w) if f.L > 0], TANGENTIAL))
+    out = []
+    for X, a in zip(fields, A):
+        zero = np.zeros((2,) + a.shape)
+        (u_th, u_lm), (w_th, w_lm) = (next(d) if f.L > 0 else zero for f in (X.u, X.w))
+        out.append((a, -SQRT2 * (u_lm + w_th), SQRT2 * (u_th - w_lm)))
+    return out
 
 
 class _NodePlan:
@@ -95,11 +105,10 @@ class _NodePlan:
     def ambient(self, fields):
         """Ambient R^4 values of each field at the points, sum of its section
         components times the carried frame; the tables grow once, to the
-        largest degree among the fields."""
+        largest degree, and each field is evaluated alone (no stacked temporaries)."""
         self.points.arrays(max(X.degree for X in fields))
-        return [sum(c[..., None] * v
-                    for c, v in zip(_section(self.points.evaluate, X), self.frame))
-                for X in fields]
+        return [sum(c[..., None] * v for c, v in zip(_section(self.points.evaluate, [X])[0],
+                                                        self.frame)) for X in fields]
 
 
 class FrameField:
@@ -166,7 +175,7 @@ class FrameField:
     def components(self, grid):
         """Section component grids (A, B, C) in the unit frame (v1, v2, v3)."""
         return tuple(GridFunction(grid, c)
-                     for c in _section(lambda c, deriv: synthesize(c, grid, deriv), self))
+                     for c in _section(lambda c, deriv: synthesize(c, grid, deriv), [self])[0])
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4), carried
@@ -190,9 +199,18 @@ def contact_field_at(f, q):
 
 
 def _quad_g_inner_M(X, Y):
-    """int_M g(X, Y) dmu of two invariant fields by grid quadrature
-    (independent of Parseval): the products of their unit-frame component
-    grids on the Gauss grid of their degree pair."""
-    grid = SphereGrid.for_integration(X.degree + Y.degree, max(X.degree, Y.degree))
-    g = sum(x.values * y.values for x, y in zip(X.components(grid), Y.components(grid)))
-    return geometry.FIBER_FACTOR * grid.integrate(g)
+    """int_M g(X, Y) dmu by grid quadrature (independent of Parseval)."""
+    return _quad_g_inners_M([(X, Y)])[0]
+
+
+def _quad_g_inners_M(pairs):
+    """_quad_g_inner_M of each (X, Y) pair, bit for bit: the products of their
+    unit-frame component grids (all held at once) on their degree pair's grid."""
+    keys = [(X.degree + Y.degree, max(X.degree, Y.degree)) for X, Y in pairs]
+    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
+    comps = {key: iter(_section(lambda c, deriv: synthesize(c, grid, deriv),
+                                [X for k, p in zip(keys, pairs) if k == key for X in p]))
+             for key, grid in grids.items()}
+    return [geometry.FIBER_FACTOR * grids[key].integrate(
+                sum(x * y for x, y in zip(next(comps[key]), next(comps[key]))))
+            for key in keys]

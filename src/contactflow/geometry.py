@@ -197,20 +197,19 @@ def _pullback(f):
     return f.pullback if hasattr(f, "pullback") else f
 
 
-def _stencil(F, pts, weights):
-    """sum_k weights[k] F(pts[k]) over the leading stencil axis of pts, added
-    in offset order, so a point's result depends on its batch only through
-    F.  The stencil's nine points never make a single-point evaluation, the
-    one case in which an invariant field's value rounds differently (~1 ulp)
-    from its row in a batch (see harmonics._PointPlan.evaluate)."""
-    return sum(w * v for w, v in zip(weights, F(pts)))
-
-
-def _frame_stencil(f, axis, p, weights, order):
-    speed = 1.0 if axis == 0 else SQRT2
+def _frame_stencil(f, axes, p, weights=_FD1_W, order=1, at_p=False):
+    """Derivatives of f along v_axis at points p (..., 4) for each axis in
+    axes, then f(p) if at_p, from one call of f on all the stencil circles
+    [axis, offset, ..., 4] and p: 9 n points per axis for n points, so three
+    axes make one node plan three times a per-axis one.  Sums run in offset
+    order and a stencil is never one point (see harmonics._PointPlan.evaluate),
+    so each derivative is bit for bit a one-axis call's."""
     p = _unit_points(p, "p")
-    t = (_FD_OFFSETS * FD_STEP / speed).reshape((-1,) + (1,) * (p.ndim - 1))
-    return _stencil(_pullback(f), quat_circle(p, axis, t), weights) / FD_STEP ** order
+    t = (_FD_OFFSETS * FD_STEP).reshape((-1,) + (1,) * (p.ndim - 1))
+    pts = [quat_circle(p, axis, t / (1.0 if axis == 0 else SQRT2)) for axis in axes]
+    values = iter(_pullback(f)(np.concatenate(pts + [p[None]] if at_p else pts)))
+    return ([sum(w * next(values) for w in weights) / FD_STEP ** order for _ in axes]
+            + list(values))
 
 
 def frame_derivative(f, axis, p):
@@ -223,28 +222,33 @@ def frame_derivative(f, axis, p):
     where v2, v3 have speed sqrt(2).  p must be unit quaternions (ValueError
     otherwise), as must the points of every finite-difference oracle below.
     """
-    return _frame_stencil(f, axis, p, _FD1_W, 1)
+    return _frame_stencil(f, [axis], p)[0]
 
 
 def frame_second_derivative(f, axis, p):
     """Second derivative along v_axis (same stencil and batch conventions)."""
-    return _frame_stencil(f, axis, p, _FD2_W, 2)
+    return _frame_stencil(f, [axis], p, _FD2_W, 2)[0]
 
 
 def _circle_derivative(F, q, v):
     """Derivative of F at points q along tangents v (..., 4), on the great
-    circle toward v; a zero tangent gets a zero direction and derivative 0."""
+    circle toward v; a zero tangent gets derivative 0 on a circle of q's."""
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v, axis=-1)
     u = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0)
     ts = (_FD_OFFSETS * FD_STEP).reshape((-1,) + (1,) * v.ndim)
-    d = _stencil(F, np.cos(ts) * q + np.sin(ts) * u, _FD1_W) / FD_STEP
+    c = np.where(nv[..., None] > 0, np.cos(ts), 1.0)
+    d = sum(w * v for w, v in zip(_FD1_W, F(c * q + np.sin(ts) * u))) / FD_STEP
     return d * nv.reshape(nv.shape + (1,) * (d.ndim - nv.ndim))
 
 
 def directional_derivative(f, q, v):
-    """Derivative of f at points q along tangents v (..., 4), via great circles."""
-    return _circle_derivative(_pullback(f), _unit_points(q, "q"), v)
+    """Derivative of f at points q along tangents v (..., 4), via great circles;
+    ValueError unless |<q, v>| <= 1e-12 |v|."""
+    q, v = _unit_points(q, "q"), np.asarray(v, dtype=float)
+    if not np.all(np.abs(np.sum(q * v, axis=-1)) <= 1e-12 * np.linalg.norm(v, axis=-1)):
+        raise ValueError("v must be tangent to S^3 at q (|<q, v>| <= 1e-12 |v|)")
+    return _circle_derivative(_pullback(f), q, v)
 
 
 def lie_bracket_fd(X, Y, q):

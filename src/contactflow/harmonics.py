@@ -334,10 +334,10 @@ class SpectralFunction:
 
     @classmethod
     def random(cls, L, rng, lmin=0, scale=1.0):
-        """Gaussian coefficients over lmin <= l <= L (triangular support)."""
+        """Gaussian coefficients over lmin <= l <= L (triangular support), one draw."""
         c = np.zeros((L + 1, 2 * L + 1))
-        for l in range(lmin, L + 1):
-            c[l, L - l:L + l + 1] = rng.normal(size=2 * l + 1)
+        support = _triangle(L) & (np.arange(L + 1) >= lmin)[:, None]
+        c[support] = rng.normal(size=np.count_nonzero(support))
         return cls(scale * c)
 
     @classmethod
@@ -460,8 +460,8 @@ class SpectralFunction:
         return _PointPlan(theta, lam).evaluate(self.coeffs, deriv)
 
     def pullback(self, q):
-        """Values of the Reeb-invariant extension at S^3 points (..., 4)."""
-        theta, lam = geometry.hopf_angles(q)
+        """Values of the Reeb-invariant extension at S^3 points (..., 4), or ValueError."""
+        theta, lam = geometry.hopf_angles(geometry._unit_points(q, "q"))
         return self.evaluate_base(theta, lam)
 
 

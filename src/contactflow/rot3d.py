@@ -13,7 +13,8 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
   * curl_fd(X, points): a finite-difference oracle built only on frame
     derivatives of the metric components at a batch of points (..., 4),
     sharing no code with the spectral path; divergence_fd, its divergence
-    twin, also takes a sequence of fields.
+    twin, also takes a sequence of fields; each evaluates them on one node
+    plan (see geometry._frame_stencil).
 
 The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
@@ -21,7 +22,7 @@ flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
 pairing is the field pairing of metrics.inner's quadrature path, on the
 unit-frame component grids of its two fields.  rot_report evaluates every
-residual on one node plan of its check points.
+residual on one node plan of its check points, all pairings in one batch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, _NodePlan, _quad_g_inner_M, contact_field
+from .fields import FrameField, _as_spectral, _NodePlan, _quad_g_inners_M, contact_field
 from .geometry import SQRT2
 from .harmonics import (
     TANGENTIAL,
@@ -91,13 +92,11 @@ def curl_fd(X, points):
         (rot X)_1 = x_1 - (v2 x_3 - v3 x_2)
         (rot X)_2 = 2 x_2 - (v3 x_1 - v1 x_3)
         (rot X)_3 = 2 x_3 - (v1 x_2 - v2 x_1)
-    on the metric components x_i = g(X, v_i), one stencil call per axis v_i.
+    on the metric components x_i = g(X, v_i), all from one evaluation.
     points must be unit quaternions (ValueError otherwise).
     """
     points = geometry._unit_points(points, "points")
-    comps = _frame_components(X)
-    d = [geometry.frame_derivative(comps, i, points) for i in range(3)]
-    x = comps(points)
+    *d, x = geometry._frame_stencil(_frame_components(X), range(3), points, at_p=True)
     c1 = x[..., 0] - (d[1][..., 2] - d[2][..., 1])
     c2 = 2.0 * x[..., 1] - (d[2][..., 0] - d[0][..., 2])
     c3 = 2.0 * x[..., 2] - (d[0][..., 1] - d[1][..., 0])
@@ -108,14 +107,13 @@ def divergence_fd(X, points):
     """Finite-difference divergence oracle at points (..., 4): div X = sum_i v_i(x_i).
 
     The unit frame is divergence-free (unimodularity), so no frame terms.
-    X is a FrameField, or a sequence of them evaluated together on one node
-    plan per stencil point set, which adds a trailing field axis.  points
-    must be unit quaternions (ValueError otherwise).
+    X is a FrameField, or a sequence of them evaluated together, which adds
+    a trailing field axis.  points must be unit quaternions (ValueError
+    otherwise).
     """
     points = geometry._unit_points(points, "points")
-    comps = _frame_components(X)
-    return sum(geometry.frame_derivative(comps, i, points)[..., i]
-               for i in range(3))
+    d = geometry._frame_stencil(_frame_components(X), range(3), points)
+    return sum(d[i][..., i] for i in range(3))
 
 
 def dmu_inner(f, h):
@@ -126,6 +124,11 @@ def dmu_inner(f, h):
     g(rot^-1 X_f, X_h) is integrated from the two fields' unit-frame
     component grids on the Gauss grid of their degrees.
     """
+    return _quad_g_inners_M([_dmu_fields(f, h)])[0]
+
+
+def _dmu_fields(f, h):
+    """The field pair (rot^-1 X_f, X_h) that dmu_inner(f, h) integrates."""
     f, h = _as_spectral(f), _as_spectral(h)
     c = f.mean_M()
     f0 = f.mean_free()
@@ -134,7 +137,7 @@ def dmu_inner(f, h):
     else:
         pre = FrameField(SpectralFunction.constant(c) - f0, 0.0,
                          2.0 * f0.inverse_laplacian())
-    return _quad_g_inner_M(pre, contact_field(h))
+    return pre, contact_field(h)
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +194,22 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     add("inverse_round_trip", res_rt, 1e-6)
     add("inverse_divergence_free", res_div, 1e-6)
 
-    # pairing ratio against the flat Hamiltonian pairing: exactly -3
-    res_ratio = 0.0
-    used = 0
-    while used < n_pairs:
+    # pairing ratio against the flat Hamiltonian pairing: exactly -3; one batch after the draws
+    pairs = []
+    while len(pairs) < n_pairs:
         f0 = SpectralFunction.random(L, rng, lmin=1)
         h0 = SpectralFunction.random(L, rng, lmin=1)
         denom = biinvariant_inner(f0, h0)
         if abs(denom) <= 1e-8:
             continue
-        res_ratio = max(res_ratio, abs(dmu_inner(f0, h0) / denom + 3.0))
-        used += 1
+        pairs.append((_dmu_fields(f0, h0), denom))
+    one = SpectralFunction.constant(1.0)
+    *values, reeb_value = _quad_g_inners_M([p for p, _ in pairs] + [_dmu_fields(one, one)])
+    res_ratio = max([0.0] + [abs(value / denom + 3.0) for value, (_, denom) in zip(values, pairs)])
     add("pairing_ratio_minus_three", res_ratio, 1e-8)
 
     # both bi-invariant pairings give the Reeb field the volume of S^3
-    one = SpectralFunction.constant(1.0)
-    res_vol = max(abs(dmu_inner(one, one) - geometry.VOL_S3),
+    res_vol = max(abs(reeb_value - geometry.VOL_S3),
                   abs(biinvariant_inner(one, one) - geometry.VOL_S3))
     add("reeb_norm_is_volume", res_vol, 1e-8)
 

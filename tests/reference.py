@@ -1,5 +1,8 @@
 """Reference computations that several test modules compare against."""
 
+import numpy as np
+
+from contactflow import geometry, rot3d
 from contactflow.harmonics import GridFunction, SphereGrid, analyze, synthesize
 
 
@@ -14,3 +17,47 @@ def product(f, h):
 def pdq(stack):
     """(P, dP, Q), each indexed [l, m, j], from legendre_tables' [m, l, tag, j]."""
     return tuple(stack[:, :, tag].transpose(1, 0, 2) for tag in range(3))
+
+
+def random_coeffs(L, rng, lmin=0, scale=1.0):
+    """SpectralFunction.random's coefficients, one draw per degree."""
+    c = np.zeros((L + 1, 2 * L + 1))
+    for l in range(lmin, L + 1):
+        c[l, L - l:L + l + 1] = rng.normal(size=2 * l + 1)
+    return scale * c
+
+
+def g_inner_M(X, Y):
+    """int_M g(X, Y) dmu of one pair, from both fields' component grids on
+    the Gauss grid of their degree pair."""
+    grid = SphereGrid.for_integration(X.degree + Y.degree, max(X.degree, Y.degree))
+    g = sum(x.values * y.values for x, y in zip(X.components(grid), Y.components(grid)))
+    return geometry.FIBER_FACTOR * grid.integrate(g)
+
+
+def frame_stencil(f, axis, p, weights=geometry._FD1_W, order=1):
+    """A frame derivative from one evaluation of f on the stencil circle of
+    one axis alone."""
+    speed = 1.0 if axis == 0 else geometry.SQRT2
+    t = (geometry._FD_OFFSETS * geometry.FD_STEP / speed).reshape((-1,) + (1,) * (p.ndim - 1))
+    F = f.pullback if hasattr(f, "pullback") else f
+    values = F(geometry.quat_circle(p, axis, t))
+    return sum(w * v for w, v in zip(weights, values)) / geometry.FD_STEP ** order
+
+
+def divergence_fd(X, points):
+    """rot3d.divergence_fd composed of one stencil evaluation per axis."""
+    comps = rot3d._frame_components(X)
+    return sum(frame_stencil(comps, i, points)[..., i] for i in range(3))
+
+
+def curl_fd(X, points):
+    """rot3d.curl_fd composed of one stencil evaluation per axis and one at
+    the points themselves."""
+    comps = rot3d._frame_components(X)
+    d = [frame_stencil(comps, i, points) for i in range(3)]
+    x = comps(points)
+    c1 = x[..., 0] - (d[1][..., 2] - d[2][..., 1])
+    c2 = 2.0 * x[..., 1] - (d[2][..., 0] - d[0][..., 2])
+    c3 = 2.0 * x[..., 2] - (d[0][..., 1] - d[1][..., 0])
+    return geometry.from_frame_components(points, np.stack([c1, c2, c3], axis=-1))

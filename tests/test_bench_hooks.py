@@ -4,11 +4,12 @@ crashed traced benchmark run.  Its call-site check also counts grid
 builds against brackets, which only holds while every bracket still
 constructs its grid.  The same spans count Legendre table builds per
 scattered point set, also when several fields share one set and in the
-finite-difference oracles' stencils, and show that a pairing by
-quadrature evaluates no S^3 point: it synthesizes its operands on the
-Gauss grid of its degree pair, whose shared tables a warm pairing does
-not rebuild, and that the curl suite prepares each of its point sets
-once.
+finite-difference oracles' stencils (one set for all three frame axes),
+and show that a pairing by quadrature evaluates no S^3 point: it
+synthesizes its operands on the Gauss grid of its degree pair, whose
+shared tables a warm pairing does not rebuild, and that the curl suite
+prepares each of its point sets once and integrates its pairings in one
+batch.
 The curvature routes batch their brackets and quadrature operands: one
 synthesize call per grid, not per bracket, and one for both tangential
 derivatives, not one per derivative."""
@@ -124,43 +125,51 @@ def test_one_legendre_build_per_point_set():
         calls = traced_calls(pairing)
         assert calls.get("harmonics.legendre_tables", 0) == 0
         assert calls.get("geometry.QuadratureS3.build", 0) == 0
-    # the finite-difference oracles: one field evaluation per stencil call
-    # (one per frame axis), and curl_fd one more at the points themselves
+    # the finite-difference oracles: one field evaluation for the stencil
+    # circles of all three frame axes, with curl_fd's points themselves
     pts = rng.standard_normal((8, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     Y = curl_inverse_contact(u.mean_free())
     calls = traced_calls(lambda: divergence_fd(Y, pts))
-    assert calls["harmonics.legendre_tables"] == 3
-    assert calls["geometry.frame_derivative"] == 3
+    assert calls["harmonics.legendre_tables"] == 1
+    assert calls.get("geometry.frame_derivative", 0) == 0
     calls = traced_calls(lambda: curl_fd(X, pts))
-    assert calls["harmonics.legendre_tables"] == 4
+    assert calls["harmonics.legendre_tables"] == 1
 
 
 def test_rot_report_prepares_each_point_set_once():
     # one node plan for the check points (a degree-0 build grown to L) and
-    # one for each of the 3 stencil point sets of the single divergence
+    # one for the stencil circles of all 3 axes of the single divergence
     # call; the pairings synthesize on warm grid plans and build nothing
     rot_report(L=4, seed=0, n_pairs=3, n_points=12)
     calls = traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=3, n_points=12))
-    assert calls["harmonics.legendre_tables"] == 5
-    assert calls["geometry.frame_derivative"] == 3
+    assert calls["harmonics.legendre_tables"] == 3
+    assert calls.get("geometry.frame_derivative", 0) == 0
     assert calls["rot3d.divergence_fd"] == 1
-    # 3 per node plan (4) and 1 per stencil circle (3); the unit frame of
+    # 3 per node plan (2) and 1 per stencil circle (3); the unit frame of
     # each stencil's metric components permutes q and multiplies nothing
-    assert calls["geometry.qmul"] == 15
+    assert calls["geometry.qmul"] == 9
+
+
+def test_rot_report_pairs_in_one_batch():
+    # all pairings, and the Reeb pairing, share one synthesize call per grid
+    # and degree, so more pairs make no more calls
+    calls = [traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=n, n_points=12))
+             for n in (3, 30)]
+    assert calls[0]["harmonics.synthesize"] == calls[1]["harmonics.synthesize"]
 
 
 def test_warm_pairing_synthesizes_on_its_gauss_grid():
     # a rot_suite pairing at L = 12 on the 13 x 26 Gauss grid, with no
     # Legendre table, quadrature build or quaternion product: the scalar
     # pairing synthesizes its stacked operands once, a field pairing takes
-    # the component grids of both fields, 2 synthesize calls each: the xi
-    # potential, and both derivatives of the stacked u and w
+    # the component grids of both fields in 2 synthesize calls: the xi
+    # potentials, and both derivatives of the stacked u and w
     rng = np.random.default_rng(3)
     f, h = (SpectralFunction.random(12, rng, lmin=1) for _ in range(2))
     pairings = [(1, partial(inner, MetricKind.BI_INVARIANT, f, h, method="quadrature")),
-                (4, partial(inner, MetricKind.RIGHT_INVARIANT, f, h, method="quadrature")),
-                (4, lambda: dmu_inner(f, h))]
+                (2, partial(inner, MetricKind.RIGHT_INVARIANT, f, h, method="quadrature")),
+                (2, lambda: dmu_inner(f, h))]
     for n_synth, pairing in pairings:
         pairing()
         tracer = traced(pairing)

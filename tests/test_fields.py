@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from contactflow import fields, geometry
 from contactflow.fields import FrameField, contact_field, contact_field_at
 from contactflow.harmonics import SpectralFunction, SphereGrid
+from contactflow.rot3d import _dmu_fields, dmu_inner
+from reference import g_inner_M
 
 
 def unit_points(rng, n):
@@ -103,6 +105,36 @@ def test_g_inner_M_matches_quadrature():
     # QuadratureS3.build stays uncached and writable
     again = geometry.QuadratureS3.build(8, 16, 2)
     assert again.nodes is not quad.nodes and again.nodes.flags.writeable
+
+
+def _drawn_field(rng, kind):
+    """A Reeb field, a constant or zero field, or potentials of degrees kind."""
+    if kind == "reeb":
+        return FrameField.reeb()
+    if kind == "constant":
+        return FrameField(float(rng.normal()), float(rng.normal()), float(rng.normal()))
+    return FrameField(*(SpectralFunction.random(L, rng) for L in kind))
+
+
+_KINDS = st.one_of(st.sampled_from(["reeb", "constant"]),
+                   st.tuples(*(st.integers(0, 4),) * 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.tuples(_KINDS, _KINDS), min_size=1, max_size=6),
+       hamiltonians=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_pairings_are_each_pairs_own(kinds, hamiltonians, seed):
+    # one batch over several grids and degrees, with dmu_inner's pairs among
+    # them: each value is bit for bit its own pairing's
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(_drawn_field(rng, k) for k in pair) for pair in kinds]
+    fh = [tuple(SpectralFunction.random(L, rng) for L in degrees) for degrees in hamiltonians]
+    got = fields._quad_g_inners_M(pairs + [_dmu_fields(f, h) for f, h in fh])
+    for (X, Y), value in zip(pairs, got):
+        assert value == fields._quad_g_inner_M(X, Y) == g_inner_M(X, Y)
+    for (f, h), value in zip(fh, got[len(pairs):]):
+        assert value == dmu_inner(f, h) == g_inner_M(*_dmu_fields(f, h))
 
 
 @pytest.mark.parametrize("degrees", [(3, 5, 2), (0, 4, 0), (2, 0, 3), (0, 0, 0), (4, 1, 1)])

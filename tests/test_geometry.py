@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactflow import geometry
 from contactflow.fields import contact_field_at
@@ -24,6 +26,7 @@ from contactflow.geometry import (
     verify_axioms,
 )
 from contactflow.harmonics import SpectralFunction
+from reference import frame_stencil
 
 
 def unit_points(rng, n):
@@ -175,11 +178,34 @@ _V = np.array([0.5, -0.5, 0.5, -0.5])     # a tangent at _Q
     (lambda: lie_bracket_fd(partial(contact_field_at, _F), partial(contact_field_at, _F),
                             [_Q, (1.0 + 1e-11) * _Q]), "q"),
     (lambda: frame_derivative(_F, 0, np.zeros(3)), "p"),
+    (lambda: _F.pullback(2.0 * _Q), "q"),                              # returned a value
+    (lambda: _F.pullback([_Q, [np.nan, 0.0, 0.0, 1.0]]), "q"),         # returned NaN
+    (lambda: directional_derivative(_F, _Q, _Q), "v"),                 # returned a value
+    (lambda: directional_derivative(_F, _Q, _Q + unit_frame(_Q)[1]), "v"),
 ], ids=["frame_derivative-zero", "frame_second_derivative-2q",
-        "directional_derivative-nan", "lie_bracket_fd-off-by-1e-11", "frame_derivative-3-vector"])
+        "directional_derivative-nan", "lie_bracket_fd-off-by-1e-11", "frame_derivative-3-vector",
+        "pullback-2q", "pullback-nan", "directional_derivative-v-is-q",
+        "directional_derivative-v-is-q-plus-v2"])
 def test_finite_difference_points_off_the_sphere_are_rejected(call, name):
     with pytest.raises(ValueError, match="^%s must be" % name):
         call()
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=st.integers(0, 8), n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_axis_stencils_are_the_per_axis_reference(L, n, seed):
+    # the stencil helper serves several axes from one evaluation; its
+    # one-axis case is bit for bit one evaluation on that axis's circle
+    rng = np.random.default_rng(seed)
+    f = SpectralFunction.random(L, rng)
+    q = unit_points(rng, n)
+    for p in (q, q[0]):
+        for axis in range(3):
+            assert np.array_equal(frame_derivative(f, axis, p), frame_stencil(f, axis, p))
+            assert np.array_equal(frame_second_derivative(f, axis, p),
+                                  frame_stencil(f, axis, p, geometry._FD2_W, 2))
+        for axis, d in enumerate(geometry._frame_stencil(f, range(3), p)):
+            assert np.array_equal(d, frame_derivative(f, axis, p))
 
 
 def test_unit_frame_bracket_relations():
@@ -240,6 +266,19 @@ def test_zero_tangent_in_a_batch_gives_zero():
     Y = lambda p: s(p) * unit_frame(p)[2]
     got = lie_bracket_fd(X, Y, q)
     assert np.all(np.isfinite(got)) and np.all(got[2] == 0.0)
+    assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13
+
+
+def test_zero_tangent_stencil_stays_on_the_sphere():
+    # a zero tangent's stencil is copies of q, which a field evaluation
+    # accepts; it ran on cos(t) q, off S^3, where contact_field_at raised
+    rng = np.random.default_rng(11)
+    q = unit_points(rng, 3)
+    s = lambda p: np.asarray(p)[..., :1] - q[1, 0]
+    X = lambda p: s(p) * unit_frame(p)[1]
+    Y = partial(contact_field_at, SpectralFunction.random(3, rng))
+    got = lie_bracket_fd(X, Y, q)
+    assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - [lie_bracket_fd(X, Y, p) for p in q])) < 1e-13
 
 

@@ -15,7 +15,7 @@ from contactflow.harmonics import (
     legendre_tables,
     synthesize,
 )
-from reference import pdq, product
+from reference import pdq, product, random_coeffs
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
 
@@ -139,6 +139,19 @@ def test_triples_reject_a_repeated_mode():
         SpectralFunction.from_triples([(1, 0, 1.0), (2, 1, 0.5), (1, 0, 2.0)])
     f = SpectralFunction.from_triples([(1, 1, 2.0), (1, -1, 3.0)])
     assert f.to_triples() == [(1, -1, 3.0), (1, 1, 2.0)]
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 5, 12, 32])
+def test_random_draws_once_as_the_per_degree_loop(L):
+    # one normal draw scattered in degree order: the coefficients and the
+    # generator state after the call are the per-degree loop's
+    for seed in range(20):
+        for lmin in sorted({0, 1, L}):
+            for scale in (1.0, 0.25):
+                rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = SpectralFunction.random(L, rng, lmin=lmin, scale=scale)
+                assert np.array_equal(got.coeffs, random_coeffs(L, want_rng, lmin, scale))
+                assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_grid_plan_arrays_are_shared_and_read_only():

@@ -17,6 +17,7 @@ from contactflow.rot3d import (
     dmu_inner,
     rot_report,
 )
+import reference
 
 
 def unit_points(rng, n):
@@ -110,6 +111,26 @@ def test_stacked_divergence_is_each_fields_own(degrees, n, seed):
     assert got.shape == (n, len(Ys))
     for i, Y in enumerate(Ys):
         assert np.array_equal(got[..., i], divergence_fd(Y, pts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+       n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_plan_oracles_are_the_per_axis_reference(degrees, n, seed):
+    # one evaluation on the stencil circles of all three axes is bit for bit
+    # one evaluation per axis; curl_fd's points join the stencil's plan, so
+    # at one point they are the row of a batch, which a one-point
+    # evaluation rounds differently (~1 ulp; see harmonics._PointPlan.evaluate)
+    rng = np.random.default_rng(seed)
+    X = FrameField(*(SpectralFunction.random(L, rng) for L in degrees))
+    Y = curl_inverse_contact(SpectralFunction.random(max(degrees) + 1, rng, lmin=1))
+    pts = unit_points(rng, n)
+    for fields in (X, [X, Y]):
+        assert np.array_equal(divergence_fd(fields, pts), reference.divergence_fd(fields, pts))
+    if n > 1:
+        assert np.array_equal(curl_fd(X, pts), reference.curl_fd(X, pts))
+    else:
+        assert np.max(np.abs(curl_fd(X, pts) - reference.curl_fd(X, pts))) < 1e-13
 
 
 def test_residuals_on_a_shared_plan_match_fresh_evaluations():
