@@ -24,7 +24,8 @@ scattered points alike, with one synthesis per degree of the stacked xi
 potentials and one of both tangential derivatives of the stacked u and w.
 A node plan prepares one set of S^3 points: the point plan of pi(q) and
 the carried frame.  It then assembles ambient values of any number of
-fields, every value and derivative from one Legendre table build.
+fields in one _section pass, every value and derivative from one Legendre
+table build.
 FrameField.evaluate and contact_field_at make a plan per call.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
@@ -105,10 +106,10 @@ class _NodePlan:
     def ambient(self, fields):
         """Ambient R^4 values of each field at the points, sum of its section
         components times the carried frame; the tables grow once, to the
-        largest degree, and each field is evaluated alone (no stacked temporaries)."""
+        largest degree, and the fields share one _section pass."""
         self.points.arrays(max(X.degree for X in fields))
-        return [sum(c[..., None] * v for c, v in zip(_section(self.points.evaluate, [X])[0],
-                                                        self.frame)) for X in fields]
+        return [sum(c[..., None] * v for c, v in zip(comps, self.frame))
+                for comps in _section(self.points.evaluate, fields)]
 
 
 class FrameField:

@@ -303,7 +303,11 @@ class SpectralFunction:
     """
 
     def __init__(self, coeffs):
-        coeffs = np.array(coeffs, dtype=float)
+        coeffs = np.asarray(coeffs)
+        try:    # a copy; same_kind refuses complex (whose imaginary part a float cast drops)
+            coeffs = coeffs.astype(float, casting="same_kind")
+        except TypeError:
+            raise TypeError("coeffs must be a real array, not %s" % coeffs.dtype) from None
         if coeffs.ndim != 2 or coeffs.shape[1] != 2 * coeffs.shape[0] - 1:
             raise ValueError("coefficient array must have shape (L+1, 2L+1)")
         self.coeffs = coeffs
@@ -435,7 +439,8 @@ class SpectralFunction:
         return float(self.coeffs[0, self.L]) / SQRT_4PI
 
     def mean_zero(self):
-        return abs(self.coeffs[0, self.L]) <= 1e-12 * max(1.0, self.norm_base())
+        c = self.coeffs[0, self.L]
+        return c == 0.0 or abs(c) <= 1e-12 * max(1.0, self.norm_base())
 
     def mean_free(self):
         """The projection onto mean-zero functions (degree 0 dropped)."""
@@ -456,7 +461,10 @@ class SpectralFunction:
         return GridFunction(grid, synthesize(self, grid, deriv=deriv))
 
     def evaluate_base(self, theta, lam, deriv=None):
-        """Scattered evaluation at colatitude/longitude arrays."""
+        """Scattered evaluation at colatitude/longitude arrays (finite, or ValueError)."""
+        for name, angle in (("theta", theta), ("lam", lam)):
+            if not np.all(np.isfinite(angle)):
+                raise ValueError("%s must be finite" % name)
         return _PointPlan(theta, lam).evaluate(self.coeffs, deriv)
 
     def pullback(self, q):
@@ -568,7 +576,8 @@ class _PointPlan(_TablePlan):
         lon = self.arrays(L)["rows"][: 2 * (L + 1), rows]      # [(m, a/b), tag, j]
         ab = _forward(coeffs, self.stack(L, tables))           # [m, a/b, ..., (tag, j)]
         ab = ab.reshape((2 * (L + 1),) + batch + lon.shape[1:])
-        v = np.sum(ab * lon.reshape(lon.shape[:1] + (1,) * len(batch) + lon.shape[1:]), axis=0)
+        ab *= lon.reshape(lon.shape[:1] + (1,) * len(batch) + lon.shape[1:])   # ab is fresh
+        v = np.sum(ab, axis=0)
         return v.reshape(batch + (self.shape if single else (ntag,) + self.shape))
 
 

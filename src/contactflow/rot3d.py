@@ -6,7 +6,7 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
   * curl(X): the production path, which reads the frame-component grids of
     X over the section and recovers the curl's potentials, at the degree of
     X, by adjoint quadrature (gradient parts drop out exactly, as curl
-    annihilates them);
+    annihilates them); a sequence of fields takes one pass per degree;
   * contact_curl(f) / curl_inverse_contact(f): closed forms on contact
     fields, rot X_f = (f - Delta f) xi + phi grad f and its right inverse
     rot^-1 X_f = -f xi + 2 phi grad(Delta^-1 f);
@@ -21,8 +21,9 @@ mean-zero Hamiltonians a negative-definite block: the ratio against the
 flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
 pairing is the field pairing of metrics.inner's quadrature path, on the
-unit-frame component grids of its two fields.  rot_report evaluates every
-residual on one node plan of its check points, all pairings in one batch.
+unit-frame component grids of its two fields.  rot_report takes all its
+curls in one call, evaluates all their residuals in one pass on the node
+plan of its check points, and integrates all pairings in one batch.
 """
 
 from __future__ import annotations
@@ -30,33 +31,48 @@ from __future__ import annotations
 import numpy as np
 
 from . import geometry
-from .fields import FrameField, _as_spectral, _NodePlan, _quad_g_inners_M, contact_field
+from .fields import (
+    FrameField,
+    _as_spectral,
+    _NodePlan,
+    _quad_g_inners_M,
+    _section,
+    contact_field,
+)
 from .geometry import SQRT2
 from .harmonics import (
+    SQRT_4PI,
     TANGENTIAL,
     SpectralFunction,
     SphereGrid,
     adjoint_analyze,
-    analyze,
+    synthesize,
 )
 
 
 def curl(X):
-    """Curl of an invariant field from its component data.
+    """Curl of an invariant field from its component data; for a sequence
+    of fields, the list of their curls.
 
     The xi-component of rot X picks up the plane components through the
     adjoint of the surface gradient; the phi-grad potential of rot X is the
     mean-free part of the xi-component of X.  Exact: rot X has the degree
-    of X.
+    of X.  The fields of one degree share one component pass on its grid,
+    one stacked analysis of their A grids and one stacked adjoint of their
+    (B, C) grids.
     """
-    L = X.degree
-    grid = SphereGrid.for_degree(L)
-    A, B, C = X.components(grid)
-    a_spec = analyze(A, L)
-    adj = adjoint_analyze(np.stack([B.values, C.values]), grid, L, TANGENTIAL)
-    a_new = SpectralFunction(a_spec.coeffs - SQRT2 * adj)
-    w_new = a_spec.mean_free()
-    return FrameField(a_new, 0.0, w_new)
+    fields = [X] if isinstance(X, FrameField) else list(X)
+    out = [None] * len(fields)
+    for L in dict.fromkeys(Y.degree for Y in fields):
+        idx = [i for i, Y in enumerate(fields) if Y.degree == L]
+        grid = SphereGrid.for_degree(L)
+        comps = np.array(_section(lambda c, deriv: synthesize(c, grid, deriv),
+                                  [fields[i] for i in idx]))       # [field, (A, B, C), j, k]
+        a_spec = adjoint_analyze(comps[:, 0], grid, L, None)
+        a_new = a_spec - SQRT2 * adjoint_analyze(comps[:, 1:], grid, L, TANGENTIAL)
+        for i, a, a_curl in zip(idx, a_spec, a_new):
+            out[i] = FrameField(SpectralFunction(a_curl), 0.0, SpectralFunction(a).mean_free())
+    return out[0] if isinstance(X, FrameField) else out
 
 
 def contact_curl(f):
@@ -133,24 +149,30 @@ def _dmu_fields(f, h):
     c = f.mean_M()
     f0 = f.mean_free()
     if f0.norm_M() <= 1e-15 * max(1.0, abs(c)):
-        pre = FrameField(SpectralFunction.constant(c), 0.0, 0.0)
-    else:
-        pre = FrameField(SpectralFunction.constant(c) - f0, 0.0,
-                         2.0 * f0.inverse_laplacian())
-    return pre, contact_field(h)
+        return FrameField(SpectralFunction.constant(c)), contact_field(h)
+    # constant(c) - f0 and 2.0 * Delta^-1 f0, by the same operations on fresh arrays
+    a = 0.0 - f0.coeffs
+    a[0, f.L] = c * SQRT_4PI
+    w = f0.inverse_laplacian()
+    w.coeffs *= 2.0
+    return FrameField(SpectralFunction(a), 0.0, w), contact_field(h)
 
 
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _ambient_residual(X, Y, plan):
-    return float(np.max(np.linalg.norm(plan.ambient([X - Y])[0], axis=-1)))
+def _ambient_residuals(pairs, plan):
+    """max over the plan's points of |rot X - Y| for each (X, Y) pair: one
+    curl call for all X and one evaluation pass for all differences."""
+    diffs = [Z - Y for Z, (_, Y) in zip(curl([X for X, _ in pairs]), pairs)]
+    return [float(np.max(np.linalg.norm(v, axis=-1))) for v in plan.ambient(diffs)]
 
 
 def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
-    """Run the curl identity suite on one node plan of the check points (and
-    one divergence_fd call for all five inverse fields); a list of named
-    residual checks."""
+    """Run the curl identity suite: one curl call for its 16 fields, one
+    evaluation pass for their residuals on the node plan of the check points,
+    one divergence_fd call for the five inverse fields and one batch for the
+    pairings; a list of named residual checks."""
     from .metrics import biinvariant_inner
 
     L, n_pairs, n_points = (geometry._positive_count(n, "rot_report needs " + name)
@@ -166,32 +188,27 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
         checks.append({"name": name, "max_residual": float(residual),
                        "tolerance": float(tol), "passed": bool(residual < tol)})
 
-    # fixed point of rot at calibration points
-    reeb = FrameField.reeb()
-    add("reeb_field_fixed_point", _ambient_residual(curl(reeb), reeb, plan), 1e-8)
-
-    # closed-form contact curl against the production path
-    res_cf = 0.0
-    res_grad = 0.0
+    # rot X against its closed form Y: the fixed point xi, contact fields,
+    # curl-free gradients and the right inverse rot(rot^-1 X_f) = X_f on
+    # mean-zero Hamiltonians; every curl in one call, every residual in one pass
+    reeb, zero = FrameField.reeb(), FrameField(0.0, 0.0, 0.0)
+    contact, gradient, inverse = [], [], []
     for _ in range(5):
         f = SpectralFunction.random(L, rng)
-        res_cf = max(res_cf, _ambient_residual(curl(contact_field(f)),
-                                               contact_curl(f), plan))
+        contact.append((contact_field(f), contact_curl(f)))
         u = SpectralFunction.random(L, rng)
-        gz = curl(FrameField.gradient(u))
-        res_grad = max(res_grad, _ambient_residual(gz, FrameField(0.0, 0.0, 0.0), plan))
-    add("contact_curl_closed_form", res_cf, 1e-6)
-    add("gradient_fields_curl_free", res_grad, 1e-6)
-
-    # right inverse: rot(rot^-1 X_f) = X_f on mean-zero Hamiltonians
-    res_rt = 0.0
-    Ys = []
+        gradient.append((FrameField.gradient(u), zero))
     for _ in range(5):
         f0 = SpectralFunction.random(L, rng, lmin=1)
-        Ys.append(curl_inverse_contact(f0))
-        res_rt = max(res_rt, _ambient_residual(curl(Ys[-1]), contact_field(f0), plan))
-    res_div = float(np.max(np.abs(divergence_fd(Ys, pts[:8]))))
-    add("inverse_round_trip", res_rt, 1e-6)
+        inverse.append((curl_inverse_contact(f0), contact_field(f0)))
+    suite = [("reeb_field_fixed_point", 1e-8, [(reeb, reeb)]),
+             ("contact_curl_closed_form", 1e-6, contact),
+             ("gradient_fields_curl_free", 1e-6, gradient),
+             ("inverse_round_trip", 1e-6, inverse)]
+    residuals = iter(_ambient_residuals([p for _, _, ps in suite for p in ps], plan))
+    for name, tol, ps in suite:
+        add(name, np.max([next(residuals) for _ in ps]), tol)     # a NaN fails the check
+    res_div = float(np.max(np.abs(divergence_fd([Y for Y, _ in inverse], pts[:8]))))
     add("inverse_divergence_free", res_div, 1e-6)
 
     # pairing ratio against the flat Hamiltonian pairing: exactly -3; one batch after the draws

@@ -3,7 +3,16 @@
 import numpy as np
 
 from contactflow import geometry, rot3d
-from contactflow.harmonics import GridFunction, SphereGrid, analyze, synthesize
+from contactflow.fields import FrameField
+from contactflow.harmonics import (
+    TANGENTIAL,
+    GridFunction,
+    SpectralFunction,
+    SphereGrid,
+    adjoint_analyze,
+    analyze,
+    synthesize,
+)
 
 
 def product(f, h):
@@ -61,3 +70,15 @@ def curl_fd(X, points):
     c2 = 2.0 * x[..., 1] - (d[2][..., 0] - d[0][..., 2])
     c3 = 2.0 * x[..., 2] - (d[0][..., 1] - d[1][..., 0])
     return geometry.from_frame_components(points, np.stack([c1, c2, c3], axis=-1))
+
+
+def curl(X):
+    """rot3d.curl of one field alone: its component grids on the grid of its
+    degree, one analysis of A and one adjoint of (B, C)."""
+    L = X.degree
+    grid = SphereGrid.for_degree(L)
+    A, B, C = X.components(grid)
+    a_spec = analyze(A, L)
+    adj = adjoint_analyze(np.stack([B.values, C.values]), grid, L, TANGENTIAL)
+    return FrameField(SpectralFunction(a_spec.coeffs - geometry.SQRT2 * adj), 0.0,
+                      a_spec.mean_free())

@@ -8,13 +8,15 @@ finite-difference oracles' stencils (one set for all three frame axes),
 and show that a pairing by quadrature evaluates no S^3 point: it
 synthesizes its operands on the Gauss grid of its degree pair, whose
 shared tables a warm pairing does not rebuild, and that the curl suite
-prepares each of its point sets once and integrates its pairings in one
-batch.
+prepares each of its point sets once, takes its curls in one call whose
+transforms do not grow with the number of fields, and integrates its
+pairings in one batch.
 The curvature routes batch their brackets and quadrature operands: one
 synthesize call per grid, not per bracket, and one for both tangential
 derivatives, not one per derivative."""
 
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from contactflow.fields import FrameField, contact_field_at
 from contactflow.harmonics import SpectralFunction
 from contactflow.metrics import MetricKind, inner
 from contactflow.rot3d import (
+    curl,
     curl_fd,
     curl_inverse_contact,
     divergence_fd,
@@ -138,12 +141,12 @@ def test_one_legendre_build_per_point_set():
 
 
 def test_rot_report_prepares_each_point_set_once():
-    # one node plan for the check points (a degree-0 build grown to L) and
-    # one for the stencil circles of all 3 axes of the single divergence
-    # call; the pairings synthesize on warm grid plans and build nothing
+    # one node plan for the check points (built once, at L, by the one
+    # residual pass) and one for the stencil circles of all 3 axes of the
+    # single divergence call; curls and pairings use warm grid plans
     rot_report(L=4, seed=0, n_pairs=3, n_points=12)
     calls = traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=3, n_points=12))
-    assert calls["harmonics.legendre_tables"] == 3
+    assert calls["harmonics.legendre_tables"] == 2
     assert calls.get("geometry.frame_derivative", 0) == 0
     assert calls["rot3d.divergence_fd"] == 1
     # 3 per node plan (2) and 1 per stencil circle (3); the unit frame of
@@ -157,6 +160,33 @@ def test_rot_report_pairs_in_one_batch():
     calls = [traced_calls(lambda: rot_report(L=4, seed=1, n_pairs=n, n_points=12))
              for n in (3, 30)]
     assert calls[0]["harmonics.synthesize"] == calls[1]["harmonics.synthesize"]
+
+
+def calls_under(tracer, name):
+    """{span name: calls} of the spans directly under the spans called name."""
+    inside = {i for i, n in enumerate(tracer.names) if n == name}
+    return Counter(n for n, p in zip(tracer.names, tracer.parent) if p in inside)
+
+
+def test_curl_suite_transforms_do_not_grow_with_its_fields():
+    # rot_report's 16 curls are one curl call: per field degree (the Reeb
+    # field's 0 and L) one grid, one component pass and two stacked
+    # analyses; the pass synthesizes each degree of the xi potentials (0
+    # and L at degree L, for the gradient fields) and of the u and w, which
+    # at degree 0 are not synthesized: 4 synthesize and 4 adjoint_analyze
+    # calls, where a curl call per field made 31 and 32 (16 of them analyze)
+    tracer = traced(lambda: rot_report(L=4, seed=1, n_pairs=3, n_points=12))
+    assert calls_under(tracer, "rot3d.curl") == {"harmonics.grid_build": 2,
+                                                 "harmonics.synthesize": 4,
+                                                 "harmonics.adjoint_analyze": 4}
+    assert tracer.summary()["rot3d.curl"][0] == 1
+    rng = np.random.default_rng(4)
+    for n in (1, 16):
+        fields = [FrameField(*(SpectralFunction.random(5, rng) for _ in range(3)))
+                  for _ in range(n)]
+        calls = traced_calls(lambda: curl(fields))
+        assert calls["harmonics.synthesize"] == calls["harmonics.adjoint_analyze"] == 2
+        assert calls.get("harmonics.analyze", 0) == 0
 
 
 def test_warm_pairing_synthesizes_on_its_gauss_grid():

@@ -134,6 +134,24 @@ def test_triples_round_trip_and_slices():
         SpectralFunction.from_triples([(1, 0, np.nan)])
 
 
+@pytest.mark.parametrize("coeffs", [
+    np.array([[1.0 + 2.0j]]),                      # dropped the imaginary part
+    np.zeros((2, 3), dtype=np.complex64),
+    [[0.5j]],
+])
+def test_complex_coefficients_are_rejected(coeffs):
+    with pytest.raises(TypeError, match="^coeffs must be a real array"):
+        SpectralFunction(coeffs)
+
+
+def test_real_coefficients_are_copied_as_floats():
+    for coeffs in ([[2]], np.array([[True]]), np.ones((1, 1), np.float32)):
+        f = SpectralFunction(coeffs)
+        assert f.coeffs.dtype == float and f.coeffs[0, 0] == float(np.asarray(coeffs)[0, 0])
+    c = np.ones((2, 3))
+    assert SpectralFunction(c).coeffs is not c
+
+
 def test_triples_reject_a_repeated_mode():
     with pytest.raises(ValueError, match="twice"):
         SpectralFunction.from_triples([(1, 0, 1.0), (2, 1, 0.5), (1, 0, 2.0)])

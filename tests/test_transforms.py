@@ -270,3 +270,14 @@ def test_point_rows_match_an_mpmath_oracle():
             got = f.evaluate_base(theta, lam, deriv="dlambda_over_sin")
             want = -sign * m * Q[m] * wave[b]
             assert np.max(np.abs(got - want)) <= 1e-15 * m * abs(Q[m, 0])
+
+
+@pytest.mark.parametrize("theta, lam, name", [
+    (np.nan, 0.4, "theta"),                        # returned NaN
+    ([0.3, np.inf], 0.4, "theta"),
+    (0.3, np.inf, "lam"),                          # only warned
+    (0.3, [0.4, -np.inf, np.nan], "lam"),
+])
+def test_evaluate_base_rejects_non_finite_angles(theta, lam, name):
+    with pytest.raises(ValueError, match="^%s must be finite" % name):
+        SpectralFunction.mode(2, 1).evaluate_base(theta, lam)
