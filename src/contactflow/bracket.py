@@ -66,12 +66,11 @@ def _brackets(pairs, L_out=None):
     out = [None] * len(pairs)
     for (D, L, L_in), idx in groups.items():
         grid = SphereGrid.for_integration(D + L, L_in)
-        fh = np.stack([[w.coeffs if w.L == L_in else w.padded(L_in).coeffs
-                        for w in pairs[n]] for n in idx])
+        fh = np.stack([[w._coeffs_at(L_in) for w in pairs[n]] for n in idx])
         d = synthesize(fh, grid, deriv=TANGENTIAL)            # [bracket, f/h, tag]
         vals = -2.0 * (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
         for n, c in zip(idx, adjoint_analyze(vals, grid, L, None)):
-            b = SpectralFunction(c)
+            b = SpectralFunction._of(c.copy())     # a row of the batch: its own storage
             out[n] = b if L_out in (None, L) else b.padded(L_out)
     return out
 
@@ -109,7 +108,8 @@ class StructureConstants:
     The basis {f_i} is the L^2(M)-orthonormal eigenfunction basis; entries
     with |c| <= DROP_TOL are dropped.  Only j < k pairs are stored, as four
     arrays in (j, k, i) order; antisymmetry supplies the rest.  A pair
-    beyond degree L raises ValueError.
+    beyond degree L raises ValueError.  The sorted pair keys j n + k are
+    formed once, at construction.
     """
     L: int
     i: np.ndarray
@@ -117,13 +117,16 @@ class StructureConstants:
     k: np.ndarray
     c: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "_keys", self.j * basis_size(self.L) + self.k)
+
     def _pair(self, j, k):
         """(i, c) arrays of the pair (j, k), with the antisymmetry sign."""
         n = basis_size(self.L)
         if not (0 <= j < n and 0 <= k < n):
             raise ValueError("pair (%d, %d) beyond degree %d" % (j, k, self.L))
         key = min(j, k) * n + max(j, k)
-        lo, hi = np.searchsorted(self.j * n + self.k, (key, key + 1))
+        lo, hi = np.searchsorted(self._keys, (key, key + 1))
         return self.i[lo:hi], (1.0 if j < k else -1.0) * self.c[lo:hi]
 
     def coefficient(self, i, j, k):

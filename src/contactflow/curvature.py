@@ -37,7 +37,13 @@ from .bracket import (
     lagrange_bracket,
     structure_constants,
 )
-from .harmonics import SpectralFunction, _quad_inners, eigenvalue, quad_inner_M
+from .harmonics import (
+    SpectralFunction,
+    _quad_inners,
+    _support_of,
+    eigenvalue,
+    quad_inner_M,
+)
 from .metrics import MetricKind, energy_inner, inner
 
 DEGENERACY_TOL = 1e-12
@@ -130,10 +136,11 @@ def k_right_invariant(sigma, method="direct"):
 
 def _single_degree(f):
     """The unique degree carrying the coefficients, or None if mixed."""
-    degs = [l for l in range(f.L + 1) if np.max(np.abs(f.degree_slice(l))) > 0.0]
+    support, _ = _support_of(f.L, 0)
+    degs = np.flatnonzero(np.any((f.coeffs != 0.0) & support, axis=1))
     if len(degs) != 1:
         return None
-    return degs[0]
+    return int(degs[0])
 
 
 def k_eigen(f, h):

@@ -74,7 +74,7 @@ def _section(evaluate, fields):
         return [out[i] for i in range(len(coeffs))]
 
     A = by_degree([X.a.coeffs for X in fields], None)
-    d = iter(by_degree([f.padded(max(X.u.L, X.w.L)).coeffs for X in fields
+    d = iter(by_degree([f._coeffs_at(max(X.u.L, X.w.L)) for X in fields
                         for f in (X.u, X.w) if f.L > 0], TANGENTIAL))
     out = []
     for X, a in zip(fields, A):
@@ -151,8 +151,8 @@ class FrameField:
         # <C, dtheta Y> + <-B, dlam Y / sin> and <B, dtheta Y> + <C, dlam Y / sin>
         u, w = adjoint_analyze(np.stack([[C, -B], [B, C]]), grid, L, TANGENTIAL)
         # the derivative functionals vanish at degree 0, as inverse_laplacian needs
-        return cls(a, SpectralFunction(SQRT2 * u).inverse_laplacian(),
-                   SpectralFunction(-SQRT2 * w).inverse_laplacian())
+        return cls(a, SpectralFunction._of(SQRT2 * u).inverse_laplacian(),
+                   SpectralFunction._of(-SQRT2 * w).inverse_laplacian())
 
     # -- structure ------------------------------------------------------------
 

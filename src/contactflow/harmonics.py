@@ -292,14 +292,40 @@ def _alpha_column_of(L):
     return _frozen(eigenvalue(np.arange(L + 1))[:, None])
 
 
+@functools.lru_cache(maxsize=32)
+def _helmholtz_column_of(L):
+    """1 + alpha_l of the degrees 0..L as a read-only column, shared per L."""
+    return _frozen(1.0 + _alpha_column_of(L))
+
+
+@functools.lru_cache(maxsize=32)
+def _support_of(L, lmin):
+    """(mask, count) of the (l, m) slots of degree lmin <= l <= L; the mask is read-only."""
+    support = _triangle(L) & (np.arange(L + 1) >= lmin)[:, None]
+    return _frozen(support), int(np.count_nonzero(support))
+
+
+def _finite(value, name):
+    if not np.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 
 class SpectralFunction:
     """A Reeb-invariant function on S^3 in base spherical-harmonic form.
 
     coeffs[l, L + m]: cos components at m >= 0, sin components at m < 0.
-    The constructor copies its input and every operation returns a new
-    object, so no two functions share coefficient storage.
+    There are two ways in.  The constructor is for user data: it copies
+    the input as a float array, and raises TypeError for complex or
+    non-numeric coefficients and ValueError for a wrong shape or a NaN or
+    infinite entry.  The package's own results (operators, classmethods,
+    analyses, brackets and curls) come from _of, which keeps a fresh array
+    as it is, unchecked, so a flow that blows up is caught by its norm
+    check.  Either way a function owns its coefficients: an array of its
+    own, never a view of a batch, that overlaps no other function's, and
+    every operation returns a new object.
     """
 
     def __init__(self, coeffs):
@@ -310,19 +336,31 @@ class SpectralFunction:
             raise TypeError("coeffs must be a real array, not %s" % coeffs.dtype) from None
         if coeffs.ndim != 2 or coeffs.shape[1] != 2 * coeffs.shape[0] - 1:
             raise ValueError("coefficient array must have shape (L+1, 2L+1)")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coeffs must be finite")
         self.coeffs = coeffs
         self.L = coeffs.shape[0] - 1
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The trusted way in: a fresh float array (L+1, 2L+1) that owns its
+        data and that the caller gives up, kept without a cast, a copy or a
+        check."""
+        f = object.__new__(cls)
+        f.coeffs = coeffs
+        f.L = coeffs.shape[0] - 1
+        return f
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, L):
-        return cls(np.zeros((L + 1, 2 * L + 1)))
+        return cls._of(np.zeros((L + 1, 2 * L + 1)))
 
     @classmethod
     def constant(cls, c):
         f = cls.zeros(0)
-        f.coeffs[0, 0] = float(c) * SQRT_4PI
+        f.coeffs[0, 0] = _finite(float(c), "constant c") * SQRT_4PI
         return f
 
     @classmethod
@@ -333,16 +371,18 @@ class SpectralFunction:
         if not (0 <= l <= L and -l <= m <= l):
             raise ValueError("mode indices out of range")
         f = cls.zeros(L)
-        f.coeffs[l, L + m] = value
+        f.coeffs[l, L + m] = _finite(float(value), "mode value")
         return f
 
     @classmethod
     def random(cls, L, rng, lmin=0, scale=1.0):
         """Gaussian coefficients over lmin <= l <= L (triangular support), one draw."""
+        scale = _finite(scale, "random scale")
+        support, count = _support_of(L, lmin)
         c = np.zeros((L + 1, 2 * L + 1))
-        support = _triangle(L) & (np.arange(L + 1) >= lmin)[:, None]
-        c[support] = rng.normal(size=np.count_nonzero(support))
-        return cls(scale * c)
+        c[support] = rng.normal(size=count)
+        c *= scale
+        return cls._of(c)
 
     @classmethod
     def from_triples(cls, triples, L=None):
@@ -377,15 +417,22 @@ class SpectralFunction:
         if L < self.L:
             raise ValueError("cannot pad to a smaller band limit")
         if L == self.L:
-            return SpectralFunction(self.coeffs)
+            return SpectralFunction._of(self.coeffs.copy())
+        return SpectralFunction._of(self._coeffs_at(L))
+
+    def _coeffs_at(self, L):
+        """The coefficients at a band limit L >= self.L: zero-padded into a
+        new array, or at L = self.L the array itself, only to be read."""
+        if L == self.L:
+            return self.coeffs
         c = np.zeros((L + 1, 2 * L + 1))
         c[: self.L + 1, L - self.L: L + self.L + 1] = self.coeffs
-        return SpectralFunction(c)
+        return c
 
     def truncated(self, L):
         if L >= self.L:
             return self.padded(L)
-        return SpectralFunction(self.coeffs[: L + 1, self.L - L: self.L + L + 1])
+        return SpectralFunction._of(self.coeffs[: L + 1, self.L - L: self.L + L + 1].copy())
 
     def degree_slice(self, l):
         return self.coeffs[l, self.L - l: self.L + l + 1]
@@ -394,32 +441,32 @@ class SpectralFunction:
 
     def __add__(self, other):
         L = max(self.L, other.L)
-        return SpectralFunction(self.padded(L).coeffs + other.padded(L).coeffs)
+        return SpectralFunction._of(self._coeffs_at(L) + other._coeffs_at(L))
 
     def __sub__(self, other):
         L = max(self.L, other.L)
-        return SpectralFunction(self.padded(L).coeffs - other.padded(L).coeffs)
+        return SpectralFunction._of(self._coeffs_at(L) - other._coeffs_at(L))
 
     def __mul__(self, c):
-        return SpectralFunction(self.coeffs * float(c))
+        return SpectralFunction._of(self.coeffs * float(c))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return SpectralFunction(-self.coeffs)
+        return SpectralFunction._of(-self.coeffs)
 
     # -- diagonal operators ---------------------------------------------------
 
     def laplacian(self):
-        return SpectralFunction(self.coeffs * _alpha_column_of(self.L))
+        return SpectralFunction._of(self.coeffs * _alpha_column_of(self.L))
 
     def helmholtz(self):
         """D f = (1 + Delta) f."""
-        return SpectralFunction(self.coeffs * (1.0 + _alpha_column_of(self.L)))
+        return SpectralFunction._of(self.coeffs * _helmholtz_column_of(self.L))
 
     def inverse_helmholtz(self):
         """D^-1 f."""
-        return SpectralFunction(self.coeffs / (1.0 + _alpha_column_of(self.L)))
+        return SpectralFunction._of(self.coeffs / _helmholtz_column_of(self.L))
 
     def inverse_laplacian(self):
         """Delta^-1 f; defined only on mean-zero input."""
@@ -430,7 +477,7 @@ class SpectralFunction:
         inv[1:] = 1.0 / alpha[1:]
         c = self.coeffs * inv
         c[0, self.L] = 0.0
-        return SpectralFunction(c)
+        return SpectralFunction._of(c)
 
     # -- means and norms -------------------------------------------------------
 
@@ -446,7 +493,7 @@ class SpectralFunction:
         """The projection onto mean-zero functions (degree 0 dropped)."""
         c = self.coeffs.copy()
         c[0, self.L] = 0.0
-        return SpectralFunction(c)
+        return SpectralFunction._of(c)
 
     def norm_base(self):
         return float(np.linalg.norm(self.coeffs))
@@ -634,7 +681,7 @@ def analyze(g, L=None):
         L = grid.nlat - 1
     if grid.nlat < L + 1:
         raise ValueError("grid too coarse in latitude to analyze degree %d" % L)
-    return SpectralFunction(_analysis(g.values, grid, L, None))
+    return SpectralFunction._of(_analysis(g.values, grid, L, None))
 
 
 def adjoint_analyze(values, grid, L, deriv):
@@ -654,7 +701,7 @@ def adjoint_analyze(values, grid, L, deriv):
 def inner_M(f, h):
     """int_M f h dmu = fibre factor times the base Parseval pairing."""
     L = max(f.L, h.L)
-    pairing = np.sum(f.padded(L).coeffs * h.padded(L).coeffs)
+    pairing = np.sum(f._coeffs_at(L) * h._coeffs_at(L))
     return geometry.FIBER_FACTOR * float(pairing)
 
 

@@ -71,7 +71,9 @@ def curl(X):
         a_spec = adjoint_analyze(comps[:, 0], grid, L, None)
         a_new = a_spec - SQRT2 * adjoint_analyze(comps[:, 1:], grid, L, TANGENTIAL)
         for i, a, a_curl in zip(idx, a_spec, a_new):
-            out[i] = FrameField(SpectralFunction(a_curl), 0.0, SpectralFunction(a).mean_free())
+            # rows of the batch: a_curl is copied, mean_free copies a
+            out[i] = FrameField(SpectralFunction._of(a_curl.copy()), 0.0,
+                                SpectralFunction._of(a).mean_free())
     return out[0] if isinstance(X, FrameField) else out
 
 
@@ -155,7 +157,7 @@ def _dmu_fields(f, h):
     a[0, f.L] = c * SQRT_4PI
     w = f0.inverse_laplacian()
     w.coeffs *= 2.0
-    return FrameField(SpectralFunction(a), 0.0, w), contact_field(h)
+    return FrameField(SpectralFunction._of(a), 0.0, w), contact_field(h)
 
 
 # ---------------------------------------------------------------------------

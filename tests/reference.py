@@ -11,6 +11,7 @@ from contactflow.harmonics import (
     SphereGrid,
     adjoint_analyze,
     analyze,
+    eigenvalue,
     synthesize,
 )
 
@@ -34,6 +35,58 @@ def random_coeffs(L, rng, lmin=0, scale=1.0):
     for l in range(lmin, L + 1):
         c[l, L - l:L + l + 1] = rng.normal(size=2 * l + 1)
     return scale * c
+
+
+def padded_coeffs(c, L):
+    """A coefficient array c zero-padded to degree L >= its own."""
+    l0 = c.shape[0] - 1
+    out = np.zeros((L + 1, 2 * L + 1))
+    out[: l0 + 1, L - l0: L + l0 + 1] = c
+    return out
+
+
+def operations(f, h, c, L):
+    """{name: result} of SpectralFunction's operations on f, h, a scalar c
+    and a degree L, by plain array arithmetic and the validating
+    constructor: inverse_laplacian of the mean-free part of f, and
+    mode(L, -L, value=c, L=L)."""
+    D = max(f.L, h.L)
+    alpha = eigenvalue(np.arange(f.L + 1))[:, None]
+    free = f.coeffs.copy()
+    free[0, f.L] = 0.0
+    inv = np.zeros((f.L + 1, 1))
+    inv[1:] = 1.0 / alpha[1:]
+    mode = np.zeros((L + 1, 2 * L + 1))
+    mode[L, 0] = float(c)
+    out = {"add": padded_coeffs(f.coeffs, D) + padded_coeffs(h.coeffs, D),
+           "sub": padded_coeffs(f.coeffs, D) - padded_coeffs(h.coeffs, D),
+           "mul": f.coeffs * float(c),
+           "rmul": f.coeffs * float(c),
+           "neg": -f.coeffs,
+           "padded": padded_coeffs(f.coeffs, max(L, f.L)),
+           "truncated": (f.coeffs[: L + 1, f.L - L: f.L + L + 1] if L < f.L
+                         else padded_coeffs(f.coeffs, L)),
+           "laplacian": f.coeffs * alpha,
+           "helmholtz": f.coeffs * (1.0 + alpha),
+           "inverse_helmholtz": f.coeffs / (1.0 + alpha),
+           "inverse_laplacian": free * inv,
+           "mean_free": free,
+           "zeros": np.zeros((L + 1, 2 * L + 1)),
+           "constant": np.full((1, 1), float(c) * np.sqrt(4.0 * np.pi)),
+           "mode": mode}
+    return {name: SpectralFunction(a) for name, a in out.items()}
+
+
+def bracket(f, h, L_out=None):
+    """lagrange_bracket of one pair from its own syntheses of f and h on
+    the bracket's grid, by the validating constructor."""
+    D, L_in = f.L + h.L, max(f.L, h.L)
+    L = D if L_out is None else min(L_out, D)
+    grid = SphereGrid.for_integration(D + L, L_in)
+    (f_th, f_lm), (h_th, h_lm) = (synthesize(padded_coeffs(w.coeffs, L_in), grid, TANGENTIAL)
+                                  for w in (f, h))
+    c = adjoint_analyze(-2.0 * (f_th * h_lm - f_lm * h_th), grid, L, None)
+    return SpectralFunction(c if L_out in (None, L) else padded_coeffs(c, L_out))
 
 
 def g_inner_M(X, Y):
@@ -80,5 +133,7 @@ def curl(X):
     A, B, C = X.components(grid)
     a_spec = analyze(A, L)
     adj = adjoint_analyze(np.stack([B.values, C.values]), grid, L, TANGENTIAL)
+    free = a_spec.coeffs.copy()
+    free[0, L] = 0.0
     return FrameField(SpectralFunction(a_spec.coeffs - geometry.SQRT2 * adj), 0.0,
-                      a_spec.mean_free())
+                      SpectralFunction(free))

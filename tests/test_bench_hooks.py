@@ -13,7 +13,9 @@ transforms do not grow with the number of fields, and integrates its
 pairings in one batch.
 The curvature routes batch their brackets and quadrature operands: one
 synthesize call per grid, not per bracket, and one for both tangential
-derivatives, not one per derivative."""
+derivatives, not one per derivative.  The package builds its own results
+without the validating SpectralFunction constructor, which is for user
+data: a flow step, a curvature plane and the curl suite call it never."""
 
 import sys
 from collections import Counter
@@ -82,6 +84,16 @@ def test_flow_step_builds_a_grid_per_bracket():
     assert calls["harmonics.grid_build"] >= 4
 
 
+def curvature_plane(f, h):
+    """The curvature routes of the plane of (f, h), as the table runs them."""
+    sig_bi = cf.SectionPlane(f, h, MetricKind.BI_INVARIANT)
+    sig_e = cf.SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
+    cf.k_biinvariant(sig_bi)
+    cf.k_right_invariant(sig_e, "direct")
+    cf.k_right_invariant(sig_e, "assembled")
+    cf.k_eigen(f, h)
+
+
 def test_curvature_plane_batches_its_transforms():
     # plane (3, 10), degrees 1 and 3: each route's brackets fall into up to
     # three (D, L, L_in) groups of one grid and one synthesize call for both
@@ -89,16 +101,7 @@ def test_curvature_plane_batches_its_transforms():
     # grid -- 15 calls on 14 grids and 10 analyses (one call per tag made 25;
     # one call per tag, bracket and operand made 60 on 30 grids)
     f, h = cf.basis_function(3), cf.basis_function(10)
-
-    def plane():
-        sig_bi = cf.SectionPlane(f, h, MetricKind.BI_INVARIANT)
-        sig_e = cf.SectionPlane(f, h, MetricKind.RIGHT_INVARIANT)
-        cf.k_biinvariant(sig_bi)
-        cf.k_right_invariant(sig_e, "direct")
-        cf.k_right_invariant(sig_e, "assembled")
-        cf.k_eigen(f, h)
-
-    calls = traced_calls(plane)
+    calls = traced_calls(partial(curvature_plane, f, h))
     assert calls["harmonics.synthesize"] == 15
     assert calls["harmonics.grid_build"] == 14
     assert calls["harmonics.adjoint_analyze"] == 10
@@ -225,3 +228,25 @@ def test_metric_takes_qi_from_the_plan():
     for pairing in pairings:
         pairing()
         assert traced_calls(pairing).get("geometry.qmul", 0) == 0
+
+
+def test_hot_paths_skip_the_validating_constructor(monkeypatch):
+    # 35 calls per flow step at L = 8, 111 per curvature plane and 593 per
+    # rot_report(L=12, n_pairs=20) before the package built its own
+    # results with SpectralFunction._of
+    calls = []
+    init = SpectralFunction.__init__
+    monkeypatch.setattr(SpectralFunction, "__init__",
+                        lambda self, coeffs: calls.append(1) or init(self, coeffs))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    h = SpectralFunction.random(8, np.random.default_rng(0), lmin=1)
+    assert count(lambda: flow.step(flow.FlowState(h), 1e-3)) == 0
+    f, g = cf.basis_function(3), cf.basis_function(10)
+    assert count(partial(curvature_plane, f, g)) == 0
+    assert count(lambda: rot_report(L=12, n_pairs=20)) == 0
+    assert count(lambda: SpectralFunction(h.coeffs)) == 1     # the wrapper counts
