@@ -66,7 +66,7 @@ def _brackets(pairs, L_out=None):
     out = [None] * len(pairs)
     for (D, L, L_in), idx in groups.items():
         grid = SphereGrid.for_integration(D + L, L_in)
-        fh = np.stack([[w._coeffs_at(L_in) for w in pairs[n]] for n in idx])
+        fh = np.array([[w._coeffs_at(L_in) for w in pairs[n]] for n in idx])
         d = synthesize(fh, grid, deriv=TANGENTIAL)            # [bracket, f/h, tag]
         vals = -2.0 * (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0])
         for n, c in zip(idx, adjoint_analyze(vals, grid, L, None)):
@@ -90,6 +90,11 @@ def basis_lm(i):
 
 
 def basis_index(l, m):
+    """The inverse of basis_lm, for integers l >= 0 and |m| <= l (else ValueError)."""
+    l = geometry._positive_count(l, "a basis index needs l", least=0)
+    m = geometry._positive_count(m, "a basis index needs m", least=-l)
+    if m > l:
+        raise ValueError("a basis index needs m <= l = %d, got %r" % (l, m))
     return l * l + l + m
 
 

@@ -429,6 +429,8 @@ def _unit_points(q, name):
 def _positive_count(n, needs, least=1):
     """n as an int >= least; a bool, a non-integer or a smaller value raises
     ValueError("<needs> to be an integer >= <least>, got <n>")."""
+    if type(n) is int and n >= least:
+        return n
     try:
         if isinstance(n, (bool, np.bool_)) or operator.index(n) < least:
             raise TypeError

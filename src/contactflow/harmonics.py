@@ -44,11 +44,14 @@ tables in place in the stacked array.  A grid is a view of a shared
 Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds the
 nodes' weights and theta, and of a longitude plan, one per nlon, which
 holds lam and the rows of every order the nlon resolves, built once and
-sliced; a fresh grid per bracket builds neither.  A point plan prepares
-scattered points, adding rows that grow with its tables, then evaluates
-any number of coefficient stacks on them with synthesize's tags and
-shapes: a one-shot point set builds its plan per call, a plan kept for
-fixed nodes builds its tables once.  All plan arrays are read-only.
+sliced; a fresh grid per bracket builds neither.  The Gauss plan holds the
+views a grid transform reads (stack, rows, weights), resolved once per
+(nlon, L, tags) until its tables grow, so a call is its matmuls and their
+packing.  A point plan prepares scattered points, adding rows that grow
+with its tables, then evaluates any number of coefficient stacks on them
+with synthesize's tags and shapes: a one-shot point set builds its plan per
+call, a plan kept for fixed nodes builds its tables once.  All plan arrays
+are read-only.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
 product of two syntheses on SphereGrid.for_integration(deg u + deg v,
@@ -135,7 +138,7 @@ class _TablePlan:
 
     def __init__(self, x):
         self.x = _frozen(x)
-        self._built = (-1, {})    # (degree, arrays), replaced as one value
+        self._built = (-1, {})    # (degree, arrays and views), replaced as one value
 
     def _build(self, L):
         return {"stack": _frozen(legendre_tables(self.x, L))}   # [m, l, tag, j]
@@ -156,12 +159,32 @@ class _TablePlan:
 
 
 class _GaussPlan(_TablePlan):
-    """The table plan of one nlat's Gauss-Legendre nodes, with weights and theta."""
+    """The table plan of one nlat's Gauss-Legendre nodes, weights and theta."""
 
     def __init__(self, nlat):
         x, w = np.polynomial.legendre.leggauss(nlat)
         super().__init__(x)
         self.w, self.theta = _frozen(w), _frozen(np.arccos(x))
+
+    def views(self, lon, L, deriv):
+        """(stack [m, l, (tag, j)], rows [tag, (m, a/b), k], rows [tag, k, (m, a/b)],
+        weights w 2 pi / nlon [j, 1], ntag, single) of a degree-L transform on
+        lon's nlon, kept beside the tables they view, so growth drops them."""
+        key = (lon.lam.size, L, deriv)
+        try:
+            return self._built[1]["views"][key]
+        except (KeyError, TypeError):    # a miss, or a tag _tags rejects
+            pass
+        if lon.lam.size < 2 * L + 2:
+            raise ValueError("grid too coarse in longitude for degree %d" % L)
+        tables, rows, ntag, single = _tags(deriv)
+        stack = _frozen(self.stack(L, tables))    # first, as it may grow the tables
+        rows = lon.rows(L)[:, rows]               # [(m, a/b), tag, k]
+        weights = _frozen((self.w * (2.0 * np.pi / lon.lam.size))[:, None])
+        views = (stack, _frozen(rows.swapaxes(0, 1)), _frozen(rows.transpose(1, 2, 0)),
+                 weights, ntag, single)
+        self._built[1].setdefault("views", {})[key] = views
+        return views
 
 
 @functools.lru_cache(maxsize=32)
@@ -243,7 +266,7 @@ class SphereGrid:
 
     def integrate(self, values):
         """Integral over the unit sphere (dOmega)."""
-        return float(self.w @ np.sum(values, axis=1)) * (2.0 * np.pi / self.nlon)
+        return float(self.w @ np.add.reduce(values, axis=1)) * (2.0 * np.pi / self.nlon)
 
 
 @dataclass(frozen=True)
@@ -280,9 +303,10 @@ def laplace_scale():
 
 
 def eigenvalue(l):
-    """alpha_l = LAPLACE_SCALE * l (l+1); l may be an array of degrees."""
-    if np.any(np.asarray(l) < 0):
-        raise ValueError("eigenvalue needs degrees l >= 0, got %r" % (l,))
+    """alpha_l = LAPLACE_SCALE * l (l+1) of integer degrees l >= 0 or an array."""
+    if ((l < 0).any() if isinstance(l, np.ndarray) else    # a bool is no degree
+            type(l) is bool or not isinstance(l, (int, np.integer)) or l < 0):
+        raise ValueError("eigenvalue needs integer degrees l >= 0, got %r" % (l,))
     return LAPLACE_SCALE * l * (l + 1.0)
 
 
@@ -319,13 +343,14 @@ class SpectralFunction:
     coeffs[l, L + m]: cos components at m >= 0, sin components at m < 0.
     There are two ways in.  The constructor is for user data: it copies
     the input as a float array, and raises TypeError for complex or
-    non-numeric coefficients and ValueError for a wrong shape or a NaN or
-    infinite entry.  The package's own results (operators, classmethods,
-    analyses, brackets and curls) come from _of, which keeps a fresh array
-    as it is, unchecked, so a flow that blows up is caught by its norm
-    check.  Either way a function owns its coefficients: an array of its
-    own, never a view of a batch, that overlaps no other function's, and
-    every operation returns a new object.
+    non-numeric coefficients and ValueError for a wrong shape, a NaN or
+    infinite entry, or a nonzero entry at l < |m| (no basis slot).  The
+    package's own results (operators, classmethods, analyses, brackets and
+    curls) come from _of, which keeps a fresh array as it is, unchecked, so
+    a flow that blows up is caught by its norm check.  Either way a function
+    owns its coefficients: an array of its own, never a view of a batch,
+    that overlaps no other function's, and every operation returns a new
+    object.
     """
 
     def __init__(self, coeffs):
@@ -338,6 +363,8 @@ class SpectralFunction:
             raise ValueError("coefficient array must have shape (L+1, 2L+1)")
         if not np.isfinite(coeffs).all():
             raise ValueError("coeffs must be finite")
+        if coeffs[~_support_of(coeffs.shape[0] - 1, 0)[0]].any():
+            raise ValueError("coeffs must be zero at l < |m|, outside the basis")
         self.coeffs = coeffs
         self.L = coeffs.shape[0] - 1
 
@@ -538,24 +565,24 @@ def _index(idx):
 
 def _tags(deriv):
     """(table index, row index, ntag, single) of a tag or a non-empty tuple of tags."""
+    single = not isinstance(deriv, tuple)
     try:
-        return _tags_of(deriv)
+        tables, rows = zip(*(_DERIVS[tag] for tag in ((deriv,) if single else deriv)))
     except (KeyError, TypeError, ValueError):     # unknown, unhashable, empty
         raise ValueError("unknown derivative tag %r" % (deriv,)) from None
-
-
-@functools.lru_cache(maxsize=16)
-def _tags_of(deriv):
-    single = not isinstance(deriv, tuple)
-    tables, rows = zip(*(_DERIVS[tag] for tag in ((deriv,) if single else deriv)))
     return _index(tables), _index(rows), len(tables), single
 
 
 def _move(a, src, dst):
     """np.moveaxis of one axis, as one transpose: the kernel's hot path."""
-    axes = list(range(a.ndim))
-    axes.insert(dst % a.ndim, axes.pop(src))
-    return a.transpose(axes)
+    return a.transpose(_moved_axes(a.ndim, src, dst))
+
+
+@functools.lru_cache(maxsize=64)
+def _moved_axes(ndim, src, dst):
+    axes = list(range(ndim))
+    axes.insert(dst % ndim, axes.pop(src))
+    return tuple(axes)
 
 
 def _by_order(stack, nbatch):
@@ -624,27 +651,24 @@ class _PointPlan(_TablePlan):
         ab = _forward(coeffs, self.stack(L, tables))           # [m, a/b, ..., (tag, j)]
         ab = ab.reshape((2 * (L + 1),) + batch + lon.shape[1:])
         ab *= lon.reshape(lon.shape[:1] + (1,) * len(batch) + lon.shape[1:])   # ab is fresh
-        v = np.sum(ab, axis=0)
+        v = np.add.reduce(ab, axis=0)
         return v.reshape(batch + (self.shape if single else (ntag,) + self.shape))
 
 
 def _analysis(values, grid, L, deriv):
     """Quadrature pairing of grids (..., nlat, nlon) with deriv(Y_lm), l <= L,
     summed over the tag axis (..., ntag, nlat, nlon) of a tuple of tags."""
-    if grid.nlon < 2 * L + 2:
-        raise ValueError("grid too coarse in longitude to analyze degree %d" % L)
-    tables, rows, ntag, single = _tags(deriv)
+    L = geometry._positive_count(L, "an analysis needs L", least=0)
+    stack, _, lon, weights, ntag, single = grid._plan.views(grid._lon, L, deriv)
     values = np.asarray(values, dtype=float)
     if single:
         values = values[..., None, :, :]
     elif values.ndim < 3 or values.shape[-3] != ntag:
         raise ValueError("values need a tag axis of length %d before (nlat, nlon)" % ntag)
-    weights = grid.w * (2.0 * np.pi / grid.nlon)
-    lon = grid._lon.rows(L)[:, rows].transpose(1, 2, 0)        # [tag, k, (m, a/b)]
     ab = np.matmul(values, lon)                                # [..., tag, j, (m, a/b)]
-    ab *= weights[:, None]
+    ab *= weights
     ab = _move(ab.reshape(ab.shape[:-3] + (-1, L + 1, 2)), -2, 0)
-    return _adjoint(ab, grid._plan.stack(L, tables))           # ab: [m, ..., (tag, j), a/b]
+    return _adjoint(ab, stack)                                 # ab: [m, ..., (tag, j), a/b]
 
 
 def synthesize(f, grid, deriv=None):
@@ -660,12 +684,9 @@ def synthesize(f, grid, deriv=None):
     if coeffs.ndim < 2 or coeffs.shape[-1] != 2 * coeffs.shape[-2] - 1:
         raise ValueError("coefficient arrays must have shape (..., L+1, 2L+1)")
     L = coeffs.shape[-2] - 1
-    if grid.nlon < 2 * L + 2:
-        raise ValueError("grid too coarse in longitude for degree %d" % L)
-    tables, rows, ntag, single = _tags(deriv)
-    ab = _forward(coeffs, grid._plan.stack(L, tables))         # [m, a/b, ..., (tag, j)]
+    stack, lon, _, _, ntag, single = grid._plan.views(grid._lon, L, deriv)
+    ab = _forward(coeffs, stack)                               # [m, a/b, ..., (tag, j)]
     ab = ab.reshape((2 * (L + 1),) + coeffs.shape[:-2] + (ntag, grid.nlat))
-    lon = grid._lon.rows(L)[:, rows].swapaxes(0, 1)            # [tag, (m, a/b), k]
     values = np.matmul(_move(ab, 0, -1), lon)                  # [..., tag, j, k]
     return values[..., 0, :, :] if single else values
 
@@ -701,7 +722,7 @@ def adjoint_analyze(values, grid, L, deriv):
 def inner_M(f, h):
     """int_M f h dmu = fibre factor times the base Parseval pairing."""
     L = max(f.L, h.L)
-    pairing = np.sum(f._coeffs_at(L) * h._coeffs_at(L))
+    pairing = (f._coeffs_at(L) * h._coeffs_at(L)).sum()
     return geometry.FIBER_FACTOR * float(pairing)
 
 
@@ -722,6 +743,6 @@ def _quad_inners(pairs):
             stacks.setdefault((key, w.L), {})[key, id(w)] = w.coeffs
     vals = {}
     for (key, _), ops in stacks.items():
-        vals.update(zip(ops, synthesize(np.stack(list(ops.values())), grids[key])))
+        vals.update(zip(ops, synthesize(np.array(list(ops.values())), grids[key])))
     return [geometry.FIBER_FACTOR * grids[key].integrate(vals[key, id(u)] * vals[key, id(v)])
             for key, (u, v) in zip(keys, pairs)]

@@ -136,9 +136,20 @@ def test_bad_basis_index_rejected(call, i):
             call(i)
 
 
+@pytest.mark.parametrize("l, m, name", [(1, 5, "m <= l = 1"), (1, -2, "m to be an integer >= -1"),
+                                        (-1, 0, "l to be an integer >= 0"),
+                                        (2.0, 1, "l to be"), (2, 0.5, "m to be"),
+                                        (True, 0, "l to be"), (2, None, "m to be")])
+def test_bad_basis_index_pair_rejected(l, m, name):
+    # (1, 5) used to give 7, the index of (2, 1)
+    with pytest.raises(ValueError, match="basis index needs " + name):
+        basis_index(l, m)
+
+
 def test_basis_index_takes_numpy_integers():
     assert basis_lm(np.int64(5)) == (2, -1)
     assert basis_lm(0) == (0, 0)
+    assert basis_index(np.int64(2), np.int32(-1)) == 5
 
 
 def test_structure_constants_frozen_value():

@@ -86,6 +86,18 @@ def test_eigenvalue_rejects_a_negative_degree():
     for bad in (-1, np.array([0, 2, -3])):
         with pytest.raises(ValueError, match="l >= 0"):
             eigenvalue(bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, np.float64(3.0), "2", None])
+def test_eigenvalue_needs_an_integer_degree(bad):
+    # a scalar degree is checked by plain comparisons; 1.5 used to give 7.5
+    with pytest.raises(ValueError, match="integer degrees l >= 0"):
+        eigenvalue(bad)
+
+
+def test_eigenvalue_takes_numpy_integers_and_degree_arrays():
+    assert eigenvalue(np.int64(3)) == eigenvalue(3) == 24.0
+    assert eigenvalue(np.floor(np.sqrt(np.arange(5)))).tolist() == [0.0, 4.0, 4.0, 4.0, 12.0]
     # the diagonal operators read a shared read-only column, never the check
     col = harmonics._alpha_column_of(4)
     assert col is harmonics._alpha_column_of(4)
@@ -149,7 +161,21 @@ def test_real_coefficients_are_copied_as_floats():
         f = SpectralFunction(coeffs)
         assert f.coeffs.dtype == float and f.coeffs[0, 0] == float(np.asarray(coeffs)[0, 0])
     c = np.ones((2, 3))
+    c[0, [0, 2]] = 0.0                 # (l, m) = (0, +-1) are no basis slots
     assert SpectralFunction(c).coeffs is not c
+
+
+@pytest.mark.parametrize("slot", [(0, 0), (0, 2), (1, 0), (2, 6)])
+def test_coefficients_outside_the_triangle_are_rejected(slot):
+    # (l, m) with l < |m| is no basis slot: np.ones((2, 3)) used to read
+    # 6 pi in inner_M and 4 pi by quadrature
+    c = np.zeros((4, 7))
+    c[slot] = 1.0
+    for bad in (c, np.ones((2, 3))):
+        with pytest.raises(ValueError, match=r"^coeffs must be zero at l < \|m\|"):
+            SpectralFunction(bad)
+    c[slot] = -0.0
+    assert SpectralFunction(c).norm_base() == 0.0
 
 
 def test_triples_reject_a_repeated_mode():

@@ -114,6 +114,18 @@ def test_grid_too_coarse_in_longitude_rejected(call, nlat, nlon):
         run[call]()
 
 
+@pytest.mark.parametrize("L", [-1, 2.5, 3.0, True])
+def test_an_analysis_degree_must_be_an_integer(L):
+    # -1 used to fail in a reshape and 2.5 in a slice, with numpy's words;
+    # warm views of degree 3 do not let 3.0 through
+    g = SphereGrid(6, 14)
+    analyze(GridFunction(g, np.ones((6, 14))), 3)
+    for call in (lambda: analyze(GridFunction(g, np.ones((6, 14))), L),
+                 lambda: adjoint_analyze(np.ones((6, 14)), g, L, None)):
+        with pytest.raises(ValueError, match="analysis needs L to be an integer >= 0"):
+            call()
+
+
 def test_unknown_tag_rejected():
     f = SpectralFunction.mode(2, 1)
     grid = SphereGrid.for_degree(2)
@@ -281,3 +293,71 @@ def test_point_rows_match_an_mpmath_oracle():
 def test_evaluate_base_rejects_non_finite_angles(theta, lam, name):
     with pytest.raises(ValueError, match="^%s must be finite" % name):
         SpectralFunction.mode(2, 1).evaluate_base(theta, lam)
+
+
+def memo_transforms(nlat, nlon, L, tags, seed=0):
+    """synthesize, adjoint_analyze and analyze of seeded data at degree L with
+    tags, on a grid of the cached plans."""
+    rng = np.random.default_rng(seed)
+    grid = SphereGrid(nlat, nlon)
+    ntag = () if tags is None or isinstance(tags, str) else (len(tags),)
+    coeffs = np.stack([SpectralFunction.random(L, rng).coeffs for _ in range(2)])
+    values = rng.standard_normal((2,) + ntag + (nlat, nlon))
+    g = GridFunction(grid, rng.standard_normal((nlat, nlon)))
+    return (synthesize(coeffs, grid, deriv=tags), adjoint_analyze(values, grid, L, tags),
+            analyze(g, L).coeffs)
+
+
+def fresh_transforms(*args):
+    harmonics._plan.cache_clear()
+    return memo_transforms(*args)
+
+
+def assert_same(got, want):
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("tags", TAGS + (("dtheta", "dlambda_over_sin"),
+                                         ("dlambda_over_sin", None)))
+def test_plan_held_views_match_a_fresh_plan(tags):
+    # a warm grid, a cleared plan cache, and a plan grown past L and read
+    # again at L all give the values of a plan built fresh at L
+    args = (9, 20, 5, tags)
+    want = fresh_transforms(*args)
+    assert_same(memo_transforms(*args), want)             # warm
+    assert_same(fresh_transforms(*args), want)            # after cache_clear
+    memo_transforms(9, 20, 8, tags)                       # grows the tables to 8
+    assert_same(memo_transforms(*args), want)
+
+
+def test_plan_held_views_are_read_only_and_go_with_outgrown_tables():
+    harmonics._plan.cache_clear()
+    memo_transforms(9, 20, 5, ("dlambda_over_sin", None))   # tables picked by a copy
+    memo_transforms(9, 22, 4, harmonics.TANGENTIAL)
+    plan = harmonics._plan(9)
+    memo = plan._built[1]["views"]
+    assert {key[:2] for key in memo} == {(20, 5), (22, 4)}
+    arrays = [a for views in memo.values() for a in views if isinstance(a, np.ndarray)]
+    assert len(arrays) == 16 and not any(a.flags.writeable for a in arrays)
+    memo_transforms(9, 20, 8, None)                         # grows the tables
+    assert list(plan._built[1]["views"]) == [(20, 8, None)]
+
+
+def test_a_warm_grid_resolves_no_plan_stack(monkeypatch):
+    grid = SphereGrid(7, 14)
+    calls = []
+    stack = harmonics._TablePlan.stack
+
+    def counted(self, L, tables):
+        calls.append(L)
+        return stack(self, L, tables)
+
+    monkeypatch.setattr(harmonics._TablePlan, "stack", counted)
+    f = SpectralFunction.random(3, np.random.default_rng(0))
+    values = np.ones((2, 7, 14))
+    for _ in range(2):
+        calls.clear()
+        synthesize(f, grid, deriv=harmonics.TANGENTIAL)
+        adjoint_analyze(values, grid, 3, harmonics.TANGENTIAL)
+        analyze(f.to_grid(grid), 3)
+    assert calls == []
