@@ -155,8 +155,7 @@ def structure_constants(L):
     leaves round-off).
     Entries with deg i > L are honest algebra data and are kept.
     """
-    if L < 1:
-        raise ValueError("structure constants need L >= 1")
+    L = geometry._positive_count(L, "structure_constants needs L")
     n, D = basis_size(L), 2 * L
     basis = np.stack([basis_function(i, L).coeffs for i in range(n)])
     slots = _triangle(D)

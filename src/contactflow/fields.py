@@ -20,12 +20,12 @@ X(q exp(t i)) = X(q) exp(t i), so X(q) = V(pi q) q with the pure
 quaternion V = A pi + (B e_theta + C e_lambda) / sqrt2 at pi(q); at a
 section point s the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) s
 is the unit frame.  _section forms (A, B, C) of many fields for grids and
-scattered points alike, with one synthesis per degree of the stacked xi
-potentials and one of both tangential derivatives of the stacked u and w.
-A node plan prepares one set of S^3 points: the point plan of pi(q) and
-the carried frame.  It then assembles ambient values of any number of
-fields in one _section pass, every value and derivative from one Legendre
-table build.
+scattered points alike as one array, from one synthesis per degree of the
+stacked xi potentials and one of both tangential derivatives of the
+stacked u and w.  A node plan prepares one set of S^3 points: the point
+plan of pi(q) and the carried frame.  It then assembles ambient values of
+any number of fields as one array, from one _section pass, every value
+and derivative from one Legendre table build.
 FrameField.evaluate and contact_field_at make a plan per call.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
@@ -61,27 +61,28 @@ def _as_spectral(f):
     return SpectralFunction.constant(float(f))
 
 
-def _section(evaluate, fields):
-    """Section components (A, B, C) of each field from evaluate(coeffs, deriv),
-    a synthesis of coefficient stacks on a grid or at the points of a plan; a
-    degree-0 u or w has zero derivatives and is not evaluated.  Bit for bit
-    each field's own, as a stack's slices are their own calls' (at 2+ points)."""
-    def by_degree(coeffs, deriv):    # one stacked evaluation per degree
-        out = {}
-        for L in dict.fromkeys(len(c) for c in coeffs):
-            idx = [i for i, c in enumerate(coeffs) if len(c) == L]
-            out.update(zip(idx, evaluate(np.stack([coeffs[i] for i in idx]), deriv)))
-        return [out[i] for i in range(len(coeffs))]
+def _section(at, fields):
+    """Section components [field, (A, B, C), ...] on a SphereGrid or at a
+    _PointPlan's points, bit for bit each field's own (a stack's slices are
+    their own calls' at 2+ points); a degree-0 u or w is zero, not evaluated."""
+    evaluate, shape = (((lambda c, deriv: synthesize(c, at, deriv)), (at.nlat, at.nlon))
+                       if isinstance(at, SphereGrid) else (at.evaluate, at.shape))
 
-    A = by_degree([X.a.coeffs for X in fields], None)
-    d = iter(by_degree([f._coeffs_at(max(X.u.L, X.w.L)) for X in fields
-                        for f in (X.u, X.w) if f.L > 0], TANGENTIAL))
-    out = []
-    for X, a in zip(fields, A):
-        zero = np.zeros((2,) + a.shape)
-        (u_th, u_lm), (w_th, w_lm) = (next(d) if f.L > 0 else zero for f in (X.u, X.w))
-        out.append((a, -SQRT2 * (u_lm + w_th), SQRT2 * (u_th - w_lm)))
-    return out
+    def by_degree(rows, deriv, out):    # (row, coeffs) pairs: one stacked evaluation per degree
+        for L in dict.fromkeys(len(c) for _, c in rows):
+            group = [(i, c) for i, c in rows if len(c) == L]
+            out[[i for i, _ in group]] = evaluate(np.array([c for _, c in group]), deriv)
+
+    comps = np.empty((len(fields), 3) + shape)
+    by_degree(list(enumerate(X.a.coeffs for X in fields)), None, comps[:, 0])
+    d = np.zeros((len(fields), 2, 2) + shape)    # [field, u/w, theta/lam, ...]
+    uw = [(2 * i + j, f._coeffs_at(max(X.u.L, X.w.L))) for i, X in enumerate(fields)
+          for j, f in enumerate((X.u, X.w)) if f.L > 0]
+    by_degree(uw, TANGENTIAL, d.reshape((-1, 2) + shape))
+    (u_th, u_lm), (w_th, w_lm) = np.moveaxis(d, 0, 2)
+    comps[:, 1] = -SQRT2 * (u_lm + w_th)
+    comps[:, 2] = SQRT2 * (u_th - w_lm)
+    return comps
 
 
 class _NodePlan:
@@ -104,12 +105,13 @@ class _NodePlan:
         self.frame = _frozen(geometry.qmul(V, q))
 
     def ambient(self, fields):
-        """Ambient R^4 values of each field at the points, sum of its section
-        components times the carried frame; the tables grow once, to the
-        largest degree, and the fields share one _section pass."""
+        """Ambient R^4 values [field, ..., 4] of the fields at the points, their
+        section components times the carried frame, summed; the tables grow
+        once, to the largest degree, and the fields share one _section pass."""
         self.points.arrays(max(X.degree for X in fields))
-        return [sum(c[..., None] * v for c, v in zip(comps, self.frame))
-                for comps in _section(self.points.evaluate, fields)]
+        # from 0.0, as sum() starts, so a sum of zeros has sum()'s sign
+        return np.add.reduce(_section(self.points, fields)[..., None] * self.frame,
+                             axis=1, initial=0.0)
 
 
 class FrameField:
@@ -175,8 +177,7 @@ class FrameField:
 
     def components(self, grid):
         """Section component grids (A, B, C) in the unit frame (v1, v2, v3)."""
-        return tuple(GridFunction(grid, c)
-                     for c in _section(lambda c, deriv: synthesize(c, grid, deriv), [self])[0])
+        return tuple(GridFunction(grid, c) for c in _section(grid, [self])[0])
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4), carried
@@ -205,13 +206,12 @@ def _quad_g_inner_M(X, Y):
 
 
 def _quad_g_inners_M(pairs):
-    """_quad_g_inner_M of each (X, Y) pair, bit for bit: the products of their
-    unit-frame component grids (all held at once) on their degree pair's grid."""
+    """_quad_g_inner_M of each (X, Y) pair, bit for bit: one product and component
+    sum of the unit-frame component grids per grid, one quadrature per pair."""
     keys = [(X.degree + Y.degree, max(X.degree, Y.degree)) for X, Y in pairs]
     grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
-    comps = {key: iter(_section(lambda c, deriv: synthesize(c, grid, deriv),
-                                [X for k, p in zip(keys, pairs) if k == key for X in p]))
+    comps = {key: _section(grid, [X for k, p in zip(keys, pairs) if k == key for X in p])
              for key, grid in grids.items()}
-    return [geometry.FIBER_FACTOR * grids[key].integrate(
-                sum(x * y for x, y in zip(next(comps[key]), next(comps[key]))))
-            for key in keys]
+    g = {key: iter(np.add.reduce(c[0::2] * c[1::2], axis=1, initial=0.0))
+         for key, c in comps.items()}
+    return [geometry.FIBER_FACTOR * grids[key].integrate(next(g[key])) for key in keys]

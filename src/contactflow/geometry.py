@@ -340,6 +340,7 @@ def verify_axioms(n_points=1000, seed=0, tol=1e-10):
     separately by finite differences (see tests).
     """
     n_points = _positive_count(n_points, "verify_axioms needs n_points")
+    seed = _positive_count(seed, "verify_axioms needs seed", least=0)
     rng = np.random.default_rng(seed)
     q = _random_points(rng, n_points)
     X = _random_tangents(rng, q)

@@ -40,18 +40,19 @@ differs.
 One table plan holds x = cos theta and the Legendre tables at x, grown to
 the largest degree asked and sliced below it; a build loops over degree
 and updates all orders at once, O(L) Python steps, writing the three
-tables in place in the stacked array.  A grid is a view of a shared
-Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds the
-nodes' weights and theta, and of a longitude plan, one per nlon, which
+tables in place in the stacked array, from coefficient columns cached per
+L, the P and Q diagonals as running products.  A grid is a view of a
+shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
+the nodes' weights and theta, and of a longitude plan, one per nlon, which
 holds lam and the rows of every order the nlon resolves, built once and
 sliced; a fresh grid per bracket builds neither.  The Gauss plan holds the
 views a grid transform reads (stack, rows, weights), resolved once per
 (nlon, L, tags) until its tables grow, so a call is its matmuls and their
 packing.  A point plan prepares scattered points, adding rows that grow
 with its tables, then evaluates any number of coefficient stacks on them
-with synthesize's tags and shapes: a one-shot point set builds its plan per
-call, a plan kept for fixed nodes builds its tables once.  All plan arrays
-are read-only.
+with synthesize's tags and shapes: a one-shot point set builds its plan
+per call, a plan kept for fixed nodes builds its tables once.  All plan
+arrays are read-only.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
 product of two syntheses on SphereGrid.for_integration(deg u + deg v,
@@ -81,43 +82,49 @@ def legendre_tables(x, L):
     P[l, m] = Pbar_lm(x); dP[l, m] = d/dtheta Pbar_lm(cos theta);
     Q[l, m] = Pbar_lm / sin(theta) for m >= 1 (identically zero at m = 0).
     All three use division-free recurrences, so the tables are finite at
-    the poles; the recurrences write them in place through (l, m, j) views.
+    the poles; the recurrences write them in place, P and Q together.
 
-    The diagonal m = l is a loop over orders; the sub-diagonal m = l - 1
-    is one vectorized step, and the three-term recurrence in l is a loop
-    over degrees that updates all orders m <= l - 2 at once.  Every element
-    gets the same floating-point operations as an (l, m) loop would give
-    it, in O(L) Python steps.
+    The P and Q diagonals m = l are running products of the factors cmm s
+    (a product commutes), dP's a loop over orders; the sub-diagonal is one
+    vectorized step, and the three-term recurrence in l a loop over degrees
+    that updates all orders m <= l - 2 at once.  Every element gets the
+    same floating-point operations as an (l, m) loop, in O(L) Python steps.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = x.shape[0]
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    stack = np.zeros((L + 1, L + 1, 3, n))
-    P, dP, Q = (stack[:, :, tag].transpose(1, 0, 2) for tag in range(3))
-
-    P[0, 0] = 1.0 / np.sqrt(2.0)
+    cmm, c, ab = _recurrence_columns(L)
+    stack = np.zeros((L + 1, L + 1, 3, x.shape[0]))
+    T = stack.transpose(1, 0, 2, 3)                 # [l, m, tag, j]
+    PQ, dP = T[:, :, ::2], T[:, :, 1:2]             # [l, m, (P, Q), j], [l, m, 1, j]
+    PQ[0, 0, 0] = 1.0 / np.sqrt(2.0)
+    f = np.repeat(cmm * s, 2, axis=1)               # [m - 1, (P, Q), j]: cmm s
+    f[:1, 0] *= PQ[0, 0, 0]
+    f[:1, 1] = np.sqrt(3.0) / 2.0
+    PQ[range(1, L + 1), range(1, L + 1)] = np.multiply.accumulate(f)
     for m in range(1, L + 1):
-        cmm = np.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        P[m, m] = cmm * s * P[m - 1, m - 1]
-        dP[m, m] = cmm * (x * P[m - 1, m - 1] + s * dP[m - 1, m - 1])
-        if m == 1:
-            Q[1, 1] = np.sqrt(3.0) / 2.0
-        else:
-            Q[m, m] = cmm * s * Q[m - 1, m - 1]
+        dP[m, m] = cmm[m - 1] * (x * PQ[m - 1, m - 1, :1] + s * dP[m - 1, m - 1])
     m = np.arange(L)
-    c = np.sqrt(2.0 * m + 3.0)[:, None]
-    P[m + 1, m] = c * x * P[m, m]
-    dP[m + 1, m] = c * (-s * P[m, m] + x * dP[m, m])
-    Q[m + 1, m] = c * x * Q[m, m]
-    for l in range(2, L + 1):
-        m = np.arange(l - 1)
-        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
-        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
-        P[l, : l - 1] = a * (x * P[l - 1, : l - 1] - b * P[l - 2, : l - 1])
-        dP[l, : l - 1] = a * (-s * P[l - 1, : l - 1] + x * dP[l - 1, : l - 1]
+    PQ[m + 1, m] = c * x * PQ[m, m]
+    dP[m + 1, m] = c * (-s * PQ[m, m, :1] + x * dP[m, m])
+    for l, (a, b) in enumerate(ab, 2):
+        PQ[l, : l - 1] = a * (x * PQ[l - 1, : l - 1] - b * PQ[l - 2, : l - 1])
+        dP[l, : l - 1] = a * (-s * PQ[l - 1, : l - 1, :1] + x * dP[l - 1, : l - 1]
                               - b * dP[l - 2, : l - 1])
-        Q[l, : l - 1] = a * (x * Q[l - 1, : l - 1] - b * Q[l - 2, : l - 1])
     return stack
+
+
+@functools.lru_cache(maxsize=32)
+def _recurrence_columns(L):
+    """legendre_tables' coefficients at degree L, read-only columns [k, 1, 1]:
+    cmm (m = 1..L), c (m = 0..L-1), and (a, b) (m <= l - 2) of each l = 2..L."""
+    m = np.arange(L + 1)
+    cols = [np.sqrt((2.0 * m[1:] + 1.0) / (2.0 * m[1:])), np.sqrt(2.0 * m[:-1] + 3.0)]
+    for l in range(2, L + 1):
+        k = m[: l - 1]
+        cols += [np.sqrt((4.0 * l * l - 1.0) / (l * l - k * k)),
+                 np.sqrt(((l - 1.0) ** 2 - k * k) / (4.0 * (l - 1.0) ** 2 - 1.0))]
+    cols = [_frozen(v[:, None, None]) for v in cols]
+    return cols[0], cols[1], tuple(zip(cols[2::2], cols[3::2]))
 
 
 def _triangle(L):
@@ -382,6 +389,7 @@ class SpectralFunction:
 
     @classmethod
     def zeros(cls, L):
+        L = geometry._positive_count(L, "zeros needs L", least=0)
         return cls._of(np.zeros((L + 1, 2 * L + 1)))
 
     @classmethod
@@ -405,6 +413,7 @@ class SpectralFunction:
     def random(cls, L, rng, lmin=0, scale=1.0):
         """Gaussian coefficients over lmin <= l <= L (triangular support), one draw."""
         scale = _finite(scale, "random scale")
+        L = geometry._positive_count(L, "random needs L", least=0)
         support, count = _support_of(L, lmin)
         c = np.zeros((L + 1, 2 * L + 1))
         c[support] = rng.normal(size=count)
@@ -441,6 +450,7 @@ class SpectralFunction:
     # -- structure ----------------------------------------------------------
 
     def padded(self, L):
+        L = geometry._positive_count(L, "padded needs L", least=0)
         if L < self.L:
             raise ValueError("cannot pad to a smaller band limit")
         if L == self.L:
@@ -457,6 +467,7 @@ class SpectralFunction:
         return c
 
     def truncated(self, L):
+        L = geometry._positive_count(L, "truncated needs L", least=0)
         if L >= self.L:
             return self.padded(L)
         return SpectralFunction._of(self.coeffs[: L + 1, self.L - L: self.L + L + 1].copy())
@@ -721,14 +732,28 @@ def adjoint_analyze(values, grid, L, deriv):
 
 def inner_M(f, h):
     """int_M f h dmu = fibre factor times the base Parseval pairing."""
-    L = max(f.L, h.L)
-    pairing = (f._coeffs_at(L) * h._coeffs_at(L)).sum()
+    try:
+        L = max(f.L, h.L)
+        pairing = (f._coeffs_at(L) * h._coeffs_at(L)).sum()
+    except AttributeError as error:
+        raise _operand_error("inner_M", error, f=f, h=h) from None
     return geometry.FIBER_FACTOR * float(pairing)
 
 
 def quad_inner_M(u, v):
     """int_M u v dmu by grid quadrature (independent of Parseval)."""
-    return _quad_inners([(u, v)])[0]
+    try:
+        return _quad_inners([(u, v)])[0]
+    except AttributeError as error:
+        raise _operand_error("quad_inner_M", error, u=u, v=v) from None
+
+
+def _operand_error(needs, error, **operands):
+    """A TypeError naming the first operand that is not a SpectralFunction, else error."""
+    for name, value in operands.items():
+        if not isinstance(value, SpectralFunction):
+            return TypeError("%s needs %s to be a SpectralFunction, got %r" % (needs, name, value))
+    return error
 
 
 def _quad_inners(pairs):

@@ -46,7 +46,6 @@ from .harmonics import (
     SpectralFunction,
     SphereGrid,
     adjoint_analyze,
-    synthesize,
 )
 
 
@@ -61,13 +60,14 @@ def curl(X):
     one stacked analysis of their A grids and one stacked adjoint of their
     (B, C) grids.
     """
-    fields = [X] if isinstance(X, FrameField) else list(X)
+    fields = list(X) if np.iterable(X) else [X]
+    if not all(isinstance(Y, FrameField) for Y in fields):
+        raise TypeError("curl needs X to be a FrameField or a sequence of them, got %r" % (X,))
     out = [None] * len(fields)
     for L in dict.fromkeys(Y.degree for Y in fields):
         idx = [i for i, Y in enumerate(fields) if Y.degree == L]
         grid = SphereGrid.for_degree(L)
-        comps = np.array(_section(lambda c, deriv: synthesize(c, grid, deriv),
-                                  [fields[i] for i in idx]))       # [field, (A, B, C), j, k]
+        comps = _section(grid, [fields[i] for i in idx])        # [field, (A, B, C), j, k]
         a_spec = adjoint_analyze(comps[:, 0], grid, L, None)
         a_new = a_spec - SQRT2 * adjoint_analyze(comps[:, 1:], grid, L, TANGENTIAL)
         for i, a, a_curl in zip(idx, a_spec, a_new):
@@ -100,7 +100,7 @@ def _frame_components(X):
     if isinstance(X, FrameField):
         return lambda q: geometry.frame_components(q, X.evaluate(q))
     return lambda q: geometry.frame_components(
-        q[..., None, :], np.stack(_NodePlan(q).ambient(X), axis=-2))
+        q[..., None, :], np.moveaxis(_NodePlan(q).ambient(X), 0, -2))
 
 
 def curl_fd(X, points):
@@ -167,7 +167,7 @@ def _ambient_residuals(pairs, plan):
     """max over the plan's points of |rot X - Y| for each (X, Y) pair: one
     curl call for all X and one evaluation pass for all differences."""
     diffs = [Z - Y for Z, (_, Y) in zip(curl([X for X, _ in pairs]), pairs)]
-    return [float(np.max(np.linalg.norm(v, axis=-1))) for v in plan.ambient(diffs)]
+    return np.linalg.norm(plan.ambient(diffs), axis=-1).reshape(len(diffs), -1).max(1).tolist()
 
 
 def rot_report(L=6, seed=0, n_pairs=100, n_points=40):

@@ -89,6 +89,21 @@ def bracket(f, h, L_out=None):
     return SpectralFunction(c if L_out in (None, L) else padded_coeffs(c, L_out))
 
 
+def section(evaluate, fields):
+    """fields._section of each field alone, as a list of (A, B, C): its own
+    evaluate(coeffs, deriv) of a, and of both tangential derivatives of u and
+    w at their common degree (zeros for a degree-0 potential), then
+    B = -sqrt2 (u_lam + w_theta) and C = sqrt2 (u_theta - w_lam)."""
+    out = []
+    for X in fields:
+        a = evaluate(X.a.coeffs, None)
+        (u_th, u_lm), (w_th, w_lm) = (
+            evaluate(f._coeffs_at(max(X.u.L, X.w.L)), TANGENTIAL) if f.L > 0
+            else np.zeros((2,) + a.shape) for f in (X.u, X.w))
+        out.append((a, -geometry.SQRT2 * (u_lm + w_th), geometry.SQRT2 * (u_th - w_lm)))
+    return out
+
+
 def g_inner_M(X, Y):
     """int_M g(X, Y) dmu of one pair, from both fields' component grids on
     the Gauss grid of their degree pair."""

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactflow import fields, geometry
-from contactflow.fields import FrameField, contact_field, contact_field_at
-from contactflow.harmonics import SpectralFunction, SphereGrid
+from contactflow.fields import FrameField, _NodePlan, contact_field, contact_field_at
+from contactflow.harmonics import SpectralFunction, SphereGrid, synthesize
 from contactflow.rot3d import _dmu_fields, dmu_inner
-from reference import g_inner_M
+from reference import g_inner_M, section
 
 
 def unit_points(rng, n):
@@ -135,6 +135,30 @@ def test_batched_pairings_are_each_pairs_own(kinds, hamiltonians, seed):
         assert value == fields._quad_g_inner_M(X, Y) == g_inner_M(X, Y)
     for (f, h), value in zip(fh, got[len(pairs):]):
         assert value == dmu_inner(f, h) == g_inner_M(*_dmu_fields(f, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(degrees=st.lists(st.tuples(*(st.sampled_from([0, 1, 3, 6]),) * 3), min_size=1, max_size=6),
+       n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_section_values_are_the_per_field_formulas(degrees, n, seed):
+    # the one-array section components, on a grid and at the points of a
+    # node plan, the ambient values built from them and the batched
+    # pairings are bit for bit each field's (each pair's) own
+    rng = np.random.default_rng(seed)
+    fs = [FrameField(*(SpectralFunction.random(L, rng) for L in d)) for d in degrees]
+    grid = SphereGrid.for_degree(max(X.degree for X in fs))
+    raw = rng.standard_normal((n, 4))
+    plan = _NodePlan(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    for at, evaluate in ((grid, lambda c, deriv: synthesize(c, grid, deriv)),
+                         (plan.points, plan.points.evaluate)):
+        got = fields._section(at, fs)
+        assert got.shape == (len(fs), 3) + section(evaluate, fs)[0][0].shape
+        for comps, want in zip(got, section(evaluate, fs)):
+            assert all(np.array_equal(c, w) for c, w in zip(comps, want))
+    for v, want in zip(plan.ambient(fs), section(plan.points.evaluate, fs)):
+        assert np.array_equal(v, sum(c[..., None] * e for c, e in zip(want, plan.frame)))
+    pairs = list(zip(fs, fs[::-1]))
+    assert fields._quad_g_inners_M(pairs) == [fields._quad_g_inners_M([p])[0] for p in pairs]
 
 
 @pytest.mark.parametrize("degrees", [(3, 5, 2), (0, 4, 0), (2, 0, 3), (0, 0, 0), (4, 1, 1)])

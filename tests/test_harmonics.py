@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactflow import geometry, harmonics
+from contactflow.bracket import structure_constants
+from contactflow.fields import FrameField
 from contactflow.harmonics import (
     SpectralFunction,
     SphereGrid,
@@ -13,8 +15,10 @@ from contactflow.harmonics import (
     inner_M,
     laplace_scale,
     legendre_tables,
+    quad_inner_M,
     synthesize,
 )
+from contactflow.rot3d import curl
 from reference import pdq, product, random_coeffs
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
@@ -178,6 +182,43 @@ def test_coefficients_outside_the_triangle_are_rejected(slot):
     assert SpectralFunction(c).norm_base() == 0.0
 
 
+@pytest.mark.parametrize("L", [-1, 1.5, 2.0, True])
+def test_truncated_and_padded_need_an_integer_degree(L):
+    # truncated(-1) gave a function of degree -1 with a (0, 0) array
+    f = SpectralFunction.random(3, np.random.default_rng(0))
+    for name in ("truncated", "padded"):
+        with pytest.raises(ValueError, match="%s needs L to be an integer >= 0" % name):
+            getattr(f, name)(L)
+    with pytest.raises(ValueError, match="cannot pad to a smaller band limit"):
+        f.padded(2)
+    assert f.truncated(np.int64(2)).L == 2 and f.padded(np.int64(4)).L == 4
+
+
+_RNG = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda f: structure_constants(2.5), ValueError, "L"),
+    (lambda f: SpectralFunction.random(2.5, _RNG), ValueError, "L"),
+    (lambda f: SpectralFunction.random(-1, _RNG), ValueError, "L"),
+    (lambda f: SpectralFunction.zeros(-1), ValueError, "L"),
+    (lambda f: SpectralFunction.zeros(2.5), ValueError, "L"),
+    (lambda f: geometry.verify_axioms(seed=-1), ValueError, "seed"),
+    (lambda f: curl(3), TypeError, "X"),
+    (lambda f: curl([3]), TypeError, "X"),
+    (lambda f: curl([FrameField.reeb(), 3]), TypeError, "X"),
+    (lambda f: inner_M(f, 3), TypeError, "h"),
+    (lambda f: inner_M(None, f), TypeError, "f"),
+    (lambda f: quad_inner_M(f, 3), TypeError, "v"),
+    (lambda f: quad_inner_M([1.0], f), TypeError, "u"),
+])
+def test_bad_arguments_raise_errors_that_name_them(call, error, name):
+    # each used to raise numpy's or Python's words, naming no argument
+    f = SpectralFunction.random(2, np.random.default_rng(1))
+    with pytest.raises(error, match=r"needs %s to be" % name):
+        call(f)
+
+
 def test_triples_reject_a_repeated_mode():
     with pytest.raises(ValueError, match="twice"):
         SpectralFunction.from_triples([(1, 0, 1.0), (2, 1, 0.5), (1, 0, 2.0)])
@@ -307,6 +348,15 @@ def test_legendre_recurrence_matches_the_mode_loop(L, x, poles):
         x[0], x[-1] = 1.0, -1.0
     for got, want in zip(pdq(legendre_tables(x, L)), _legendre_tables_by_mode(x, L)):
         assert np.array_equal(got, want)
+
+
+def test_recurrence_columns_are_cached_and_read_only():
+    assert harmonics._recurrence_columns.cache_info().maxsize is not None
+    cmm, c, ab = harmonics._recurrence_columns(6)
+    assert harmonics._recurrence_columns(6)[0] is cmm and len(ab) == 5
+    for column in (cmm, c, *(v for pair in ab for v in pair)):
+        with pytest.raises(ValueError):
+            column.flat[0] = 1.0
 
 
 def test_plan_cache_is_bounded():

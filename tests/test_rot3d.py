@@ -81,6 +81,17 @@ def test_one_pass_ambient_is_each_fields_own(degrees, n, seed):
         assert np.array_equal(v, X.evaluate(pts))
 
 
+@pytest.mark.parametrize("workload_seed", [3, 104729])
+def test_rot_report_passes_on_the_benchmark_item_seeds(workload_seed):
+    # perfbench's rot_suite draws one rng.integers(2**31) seed per item from
+    # its workload seed; its first 40 items, replayed here, must each give
+    # seven passed checks
+    rng = np.random.default_rng(workload_seed)
+    for _ in range(40):
+        checks = rot_report(L=12, seed=int(rng.integers(2 ** 31)), n_pairs=20)
+        assert len(checks) == 7 and all(c["passed"] for c in checks)
+
+
 def test_curl_fd_oracle_agrees():
     rng = np.random.default_rng(1)
     pts = unit_points(rng, 6)
