@@ -49,7 +49,7 @@ def lagrange_bracket(f, h, L_out=None):
     L_out, as the Euler flow does; identities are tested at full degree.
     A float operand is the constant Hamiltonian of that value.
     """
-    return _brackets([(_as_spectral(f), _as_spectral(h))], L_out)[0]
+    return _brackets([(_as_spectral(f, "f"), _as_spectral(h, "h"))], L_out)[0]
 
 
 def _brackets(pairs, L_out=None):

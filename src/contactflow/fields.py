@@ -38,6 +38,8 @@ A contact field X_f = f xi - phi grad f is the special case (f, 0, -f).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import geometry
@@ -48,6 +50,7 @@ from .harmonics import (
     SpectralFunction,
     SphereGrid,
     _frozen,
+    _finite,
     _PointPlan,
     adjoint_analyze,
     analyze,
@@ -55,10 +58,14 @@ from .harmonics import (
 )
 
 
-def _as_spectral(f):
+def _as_spectral(f, name):
+    """f itself, or the constant function of a real number f; TypeError for
+    any other f and ValueError for a non-finite one, naming the argument."""
     if isinstance(f, SpectralFunction):
         return f
-    return SpectralFunction.constant(float(f))
+    if not isinstance(f, (float, numbers.Real)):    # float first: the ABC check is slow
+        raise TypeError("%s must be a SpectralFunction or a real number, got %r" % (name, f))
+    return SpectralFunction.constant(_finite(f, name))
 
 
 def _section(at, fields):
@@ -98,10 +105,10 @@ class _NodePlan:
         self.points = _PointPlan(theta, lam)
         st, ct = np.sin(theta), np.cos(theta)
         sl, cl = np.sin(lam), np.cos(lam)
-        e_th = np.stack([-st, ct * cl, ct * sl], axis=-1)
-        e_lm = np.stack([np.zeros_like(sl), -sl, cl], axis=-1)
-        V = np.stack([pi, e_th / SQRT2, e_lm / SQRT2])
-        V = np.concatenate([np.zeros(V.shape[:-1] + (1,)), V], axis=-1)
+        V = np.zeros((3,) + q.shape)    # pure quaternions pi, e_theta / sqrt2, e_lambda / sqrt2
+        V[0, ..., 1:] = pi
+        V[1, ..., 1], V[1, ..., 2], V[1, ..., 3] = -st / SQRT2, ct * cl / SQRT2, ct * sl / SQRT2
+        V[2, ..., 2], V[2, ..., 3] = -sl / SQRT2, cl / SQRT2
         self.frame = _frozen(geometry.qmul(V, q))
 
     def ambient(self, fields):
@@ -115,19 +122,22 @@ class _NodePlan:
 
 
 class FrameField:
-    """A Reeb-invariant tangent field, stored by its potentials (a, u, w)."""
+    """A Reeb-invariant tangent field, stored by its potentials (a, u, w),
+    each a SpectralFunction or a real number (a constant)."""
+
+    __slots__ = ("a", "u", "w")
 
     def __init__(self, a=0.0, u=0.0, w=0.0):
-        self.a = _as_spectral(a)
-        self.u = _as_spectral(u)
-        self.w = _as_spectral(w)
+        self.a = a if type(a) is SpectralFunction else _as_spectral(a, "a")
+        self.u = u if type(u) is SpectralFunction else _as_spectral(u, "u")
+        self.w = w if type(w) is SpectralFunction else _as_spectral(w, "w")
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def contact(cls, f):
         """X_f = f xi - phi grad f, the contact field of Hamiltonian f."""
-        f = _as_spectral(f)
+        f = _as_spectral(f, "f")
         return cls(f, SpectralFunction.zeros(0), -f)
 
     @classmethod
@@ -136,7 +146,7 @@ class FrameField:
 
     @classmethod
     def gradient(cls, u):
-        return cls(SpectralFunction.zeros(0), _as_spectral(u))
+        return cls(SpectralFunction.zeros(0), _as_spectral(u, "u"))
 
     @classmethod
     def from_components(cls, A, B, C, L):

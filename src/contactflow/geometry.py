@@ -50,12 +50,12 @@ def qmul(a, b):
     b = np.asarray(b, dtype=float)
     w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     w2, x2, y2, z2 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ], axis=-1)
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (4,))
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+    out[..., 2] = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+    out[..., 3] = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+    return out
 
 
 def qconj(a):
@@ -197,15 +197,24 @@ def _pullback(f):
     return f.pullback if hasattr(f, "pullback") else f
 
 
+def _nonzero(weights):
+    """(weights, offsets) of a stencil's nonzero weights, in offset order."""
+    keep = weights != 0.0
+    return weights[keep], _FD_OFFSETS[keep]
+
+
 def _frame_stencil(f, axes, p, weights=_FD1_W, order=1, at_p=False):
     """Derivatives of f along v_axis at points p (..., 4) for each axis in
     axes, then f(p) if at_p, from one call of f on all the stencil circles
-    [axis, offset, ..., 4] and p: 9 n points per axis for n points, so three
-    axes make one node plan three times a per-axis one.  Sums run in offset
-    order and a stencil is never one point (see harmonics._PointPlan.evaluate),
-    so each derivative is bit for bit a one-axis call's."""
+    [axis, offset, ..., 4] and p.  Offsets of weight 0 (the first-derivative
+    centre) are not evaluated: three first-derivative axes take 24 n points
+    for n points, one node plan for three per-axis ones.  Sums run in offset
+    order from the integer 0, so no partial sum is -0.0, a finite derivative
+    is bit for bit the full stencil's and, as a stencil is never one point
+    (see harmonics._PointPlan.evaluate), a one-axis call's."""
     p = _unit_points(p, "p")
-    t = (_FD_OFFSETS * FD_STEP).reshape((-1,) + (1,) * (p.ndim - 1))
+    weights, offsets = _nonzero(weights)
+    t = (offsets * FD_STEP).reshape((-1,) + (1,) * (p.ndim - 1))
     pts = [quat_circle(p, axis, t / (1.0 if axis == 0 else SQRT2)) for axis in axes]
     values = iter(_pullback(f)(np.concatenate(pts + [p[None]] if at_p else pts)))
     return ([sum(w * next(values) for w in weights) / FD_STEP ** order for _ in axes]
@@ -236,9 +245,10 @@ def _circle_derivative(F, q, v):
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v, axis=-1)
     u = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0)
-    ts = (_FD_OFFSETS * FD_STEP).reshape((-1,) + (1,) * v.ndim)
+    weights, offsets = _nonzero(_FD1_W)    # as _frame_stencil's, without the centre
+    ts = (offsets * FD_STEP).reshape((-1,) + (1,) * v.ndim)
     c = np.where(nv[..., None] > 0, np.cos(ts), 1.0)
-    d = sum(w * v for w, v in zip(_FD1_W, F(c * q + np.sin(ts) * u))) / FD_STEP
+    d = sum(w * v for w, v in zip(weights, F(c * q + np.sin(ts) * u))) / FD_STEP
     return d * nv.reshape(nv.shape + (1,) * (d.ndim - nv.ndim))
 
 

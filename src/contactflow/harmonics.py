@@ -62,6 +62,8 @@ max degree), exact for the degree of the product, without Parseval.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,12 +262,17 @@ class SphereGrid:
 
     @classmethod
     def for_degree(cls, L):
+        L = geometry._positive_count(L, "SphereGrid.for_degree needs L", 0)
         return cls.for_integration(2 * L, L)
 
     @classmethod
     def for_integration(cls, deg_integrand, deg_synth):
         """Grid integrating degree-deg_integrand spherical polynomials exactly
-        while staying alias-free for synthesis up to deg_synth."""
+        while staying alias-free for synthesis up to deg_synth (integers >= 0)."""
+        deg_integrand = geometry._positive_count(
+            deg_integrand, "SphereGrid.for_integration needs deg_integrand", 0)
+        deg_synth = geometry._positive_count(
+            deg_synth, "SphereGrid.for_integration needs deg_synth", 0)
         nlat = deg_integrand // 2 + 1
         nlon = max(deg_integrand + 1, 2 * deg_synth + 2)
         nlon += nlon % 2
@@ -330,6 +337,14 @@ def _helmholtz_column_of(L):
 
 
 @functools.lru_cache(maxsize=32)
+def _inverse_alpha_column_of(L):
+    """1 / alpha_l of the degrees 1..L, 0 at l = 0, as a read-only column, shared per L."""
+    inv = np.zeros((L + 1, 1))
+    inv[1:] = 1.0 / _alpha_column_of(L)[1:]
+    return _frozen(inv)
+
+
+@functools.lru_cache(maxsize=32)
 def _support_of(L, lmin):
     """(mask, count) of the (l, m) slots of degree lmin <= l <= L; the mask is read-only."""
     support = _triangle(L) & (np.arange(L + 1) >= lmin)[:, None]
@@ -337,7 +352,12 @@ def _support_of(L, lmin):
 
 
 def _finite(value, name):
-    if not np.isfinite(value):
+    """value as a float: TypeError unless it is a real number, ValueError
+    unless it is finite, each naming it."""
+    if not isinstance(value, (float, numbers.Real)):    # float first: the ABC check is slow
+        raise TypeError("%s must be a real number, got %r" % (name, value))
+    value = float(value)
+    if not math.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (name, value))
     return value
 
@@ -359,6 +379,8 @@ class SpectralFunction:
     that overlaps no other function's, and every operation returns a new
     object.
     """
+
+    __slots__ = ("coeffs", "L")
 
     def __init__(self, coeffs):
         coeffs = np.asarray(coeffs)
@@ -394,9 +416,7 @@ class SpectralFunction:
 
     @classmethod
     def constant(cls, c):
-        f = cls.zeros(0)
-        f.coeffs[0, 0] = _finite(float(c), "constant c") * SQRT_4PI
-        return f
+        return cls._of(np.array([[_finite(c, "constant c") * SQRT_4PI]]))
 
     @classmethod
     def mode(cls, l, m, value=1.0, L=None):
@@ -406,7 +426,7 @@ class SpectralFunction:
         if not (0 <= l <= L and -l <= m <= l):
             raise ValueError("mode indices out of range")
         f = cls.zeros(L)
-        f.coeffs[l, L + m] = _finite(float(value), "mode value")
+        f.coeffs[l, L + m] = _finite(value, "mode value")
         return f
 
     @classmethod
@@ -417,19 +437,24 @@ class SpectralFunction:
         support, count = _support_of(L, lmin)
         c = np.zeros((L + 1, 2 * L + 1))
         c[support] = rng.normal(size=count)
-        c *= scale
+        if scale != 1.0:    # a product with 1.0 is exact
+            c *= scale
         return cls._of(c)
 
     @classmethod
     def from_triples(cls, triples, L=None):
-        """Build from (l, m, value) triples; each (l, m) at most once."""
-        triples = list(triples)
+        """Build from (l, m, value) triples of integers l, m; each (l, m) at most once."""
+        checked = []
+        for l, m, v in triples:
+            needs = "triple %r needs " % ((l, m, v),)
+            l = geometry._positive_count(l, needs + "l", least=0)
+            checked.append((l, geometry._positive_count(m, needs + "m", least=-l), v))
+        triples = checked
         if L is None:
-            L = max((int(l) for l, _, _ in triples), default=0)
+            L = max((l for l, _, _ in triples), default=0)
         f = cls.zeros(L)
         seen = set()
         for l, m, v in triples:
-            l, m = int(l), int(m)
             if not (0 <= l <= L and -l <= m <= l):
                 raise ValueError("triple (%d, %d) out of range" % (l, m))
             if (l, m) in seen:
@@ -478,15 +503,19 @@ class SpectralFunction:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
+        if not isinstance(other, SpectralFunction):
+            return NotImplemented
         L = max(self.L, other.L)
         return SpectralFunction._of(self._coeffs_at(L) + other._coeffs_at(L))
 
     def __sub__(self, other):
+        if not isinstance(other, SpectralFunction):
+            return NotImplemented
         L = max(self.L, other.L)
         return SpectralFunction._of(self._coeffs_at(L) - other._coeffs_at(L))
 
     def __mul__(self, c):
-        return SpectralFunction._of(self.coeffs * float(c))
+        return SpectralFunction._of(self.coeffs * _finite(c, "c"))
 
     __rmul__ = __mul__
 
@@ -510,10 +539,7 @@ class SpectralFunction:
         """Delta^-1 f; defined only on mean-zero input."""
         if not self.mean_zero():
             raise ValueError("inverse_laplacian requires a mean-zero function")
-        inv = np.zeros((self.L + 1, 1))
-        alpha = _alpha_column_of(self.L)
-        inv[1:] = 1.0 / alpha[1:]
-        c = self.coeffs * inv
+        c = self.coeffs * _inverse_alpha_column_of(self.L)
         c[0, self.L] = 0.0
         return SpectralFunction._of(c)
 
@@ -534,7 +560,8 @@ class SpectralFunction:
         return SpectralFunction._of(c)
 
     def norm_base(self):
-        return float(np.linalg.norm(self.coeffs))
+        c = self.coeffs.ravel(order="K")    # np.linalg.norm's steps, without its dispatch
+        return math.sqrt(c.dot(c))
 
     def norm_M(self):
         """L^2(M) norm: the fibre factor converts base Parseval to M."""

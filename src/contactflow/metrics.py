@@ -36,7 +36,7 @@ def inner(kind, f, h, method="spectral"):
     """
     if not isinstance(kind, MetricKind):
         kind = MetricKind(kind)
-    f, h = _as_spectral(f), _as_spectral(h)
+    f, h = _as_spectral(f, "f"), _as_spectral(h, "h")
     if method == "spectral":
         if kind is MetricKind.BI_INVARIANT:
             return inner_M(f, h)

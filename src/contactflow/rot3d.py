@@ -79,7 +79,7 @@ def curl(X):
 
 def contact_curl(f):
     """Closed form rot X_f = (f - Delta f) xi + phi grad f."""
-    f = _as_spectral(f)
+    f = _as_spectral(f, "f")
     return FrameField(f - f.laplacian(), 0.0, f.mean_free())
 
 
@@ -89,7 +89,7 @@ def curl_inverse_contact(f):
     Returns -f xi + 2 phi grad(Delta^-1 f).  The mean-zero restriction is
     structural: constants are handled by the fixed point rot xi = xi.
     """
-    f = _as_spectral(f)
+    f = _as_spectral(f, "f")
     if not f.mean_zero():
         raise ValueError("curl_inverse_contact needs a mean-zero Hamiltonian")
     return FrameField(-1.0 * f, 0.0, 2.0 * f.inverse_laplacian())
@@ -147,7 +147,7 @@ def dmu_inner(f, h):
 
 def _dmu_fields(f, h):
     """The field pair (rot^-1 X_f, X_h) that dmu_inner(f, h) integrates."""
-    f, h = _as_spectral(f), _as_spectral(h)
+    f, h = _as_spectral(f, "f"), _as_spectral(h, "h")
     c = f.mean_M()
     f0 = f.mean_free()
     if f0.norm_M() <= 1e-15 * max(1.0, abs(c)):

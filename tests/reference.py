@@ -114,12 +114,39 @@ def g_inner_M(X, Y):
 
 def frame_stencil(f, axis, p, weights=geometry._FD1_W, order=1):
     """A frame derivative from one evaluation of f on the stencil circle of
-    one axis alone."""
+    one axis alone, at all nine offsets, a centre of weight 0 included."""
     speed = 1.0 if axis == 0 else geometry.SQRT2
     t = (geometry._FD_OFFSETS * geometry.FD_STEP / speed).reshape((-1,) + (1,) * (p.ndim - 1))
     F = f.pullback if hasattr(f, "pullback") else f
     values = F(geometry.quat_circle(p, axis, t))
     return sum(w * v for w, v in zip(weights, values)) / geometry.FD_STEP ** order
+
+
+def circle_derivative(F, q, v):
+    """geometry._circle_derivative on all nine offsets, the centre of
+    weight 0 included."""
+    nv = np.linalg.norm(v, axis=-1)
+    u = np.divide(v, nv[..., None], out=np.zeros_like(v), where=nv[..., None] > 0)
+    ts = (geometry._FD_OFFSETS * geometry.FD_STEP).reshape((-1,) + (1,) * v.ndim)
+    c = np.where(nv[..., None] > 0, np.cos(ts), 1.0)
+    d = sum(w * x for w, x in zip(geometry._FD1_W, F(c * q + np.sin(ts) * u))) / geometry.FD_STEP
+    return d * nv.reshape(nv.shape + (1,) * (d.ndim - nv.ndim))
+
+
+def lie_bracket_fd(X, Y, q):
+    """geometry.lie_bracket_fd from nine-offset circle derivatives."""
+    return circle_derivative(Y, q, X(q)) - circle_derivative(X, q, Y(q))
+
+
+def qmul(a, b):
+    """geometry.qmul's component expressions, stacked."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    w1, x1, y1, z1 = (a[..., i] for i in range(4))
+    w2, x2, y2, z2 = (b[..., i] for i in range(4))
+    return np.stack([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2], axis=-1)
 
 
 def divergence_fd(X, points):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from contactflow import geometry
-from contactflow.fields import contact_field_at
+from contactflow.fields import FrameField, contact_field_at
 from contactflow.geometry import (
     QuadratureS3,
     VOL_S3,
@@ -26,6 +27,7 @@ from contactflow.geometry import (
     verify_axioms,
 )
 from contactflow.harmonics import SpectralFunction
+from contactflow.rot3d import curl_fd, divergence_fd
 from reference import frame_stencil
 
 
@@ -206,6 +208,43 @@ def test_one_axis_stencils_are_the_per_axis_reference(L, n, seed):
                                   frame_stencil(f, axis, p, geometry._FD2_W, 2))
         for axis, d in enumerate(geometry._frame_stencil(f, range(3), p)):
             assert np.array_equal(d, frame_derivative(f, axis, p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(degrees=st.lists(st.integers(0, 8), min_size=3, max_size=3), n=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stencils_are_the_nine_offset_reference(degrees, n, seed):
+    # the first-derivative stencils leave out their centre of weight 0; their
+    # sums start from the integer 0, so no partial sum is -0.0 and dropping
+    # the 0 * f(centre) term leaves every finite result bit for bit as it was
+    rng = np.random.default_rng(seed)
+    f, h, g = (SpectralFunction.random(L, rng) for L in degrees)
+    X, Y = FrameField(f, h, g), FrameField.contact(h)
+    q = unit_points(rng, n)
+    v = rng.standard_normal(q.shape)
+    v -= np.sum(v * q, axis=-1, keepdims=True) * q
+    for p, t in ((q, v), (q[0], v[0])):
+        for axis in range(3):
+            assert np.array_equal(frame_derivative(f, axis, p), frame_stencil(f, axis, p))
+        assert np.array_equal(directional_derivative(f, p, t),
+                              reference.circle_derivative(f.pullback, p, t))
+        assert np.array_equal(lie_bracket_fd(X.evaluate, Y.evaluate, p),
+                              reference.lie_bracket_fd(X.evaluate, Y.evaluate, p))
+    for fields in (X, [X, Y]):
+        assert np.array_equal(divergence_fd(fields, q), reference.divergence_fd(fields, q))
+    if n > 1:    # at one point, curl_fd's own value is a row of its stencil's batch
+        assert np.array_equal(curl_fd(X, q), reference.curl_fd(X, q))
+
+
+def test_a_first_derivative_does_not_evaluate_its_centre():
+    # f is NaN at the points themselves: the first-derivative stencils, whose
+    # centre weight is 0, no longer read it; the second derivative still does
+    p = unit_points(np.random.default_rng(12), 3)
+    f = lambda q: np.where(np.all(q == p, axis=-1), np.nan, geometry.hopf_point(q)[..., 0])
+    for axis in range(3):
+        assert np.all(np.isfinite(frame_derivative(f, axis, p)))
+        assert np.all(np.isnan(frame_second_derivative(f, axis, p)))
+    assert np.all(np.isfinite(directional_derivative(f, p, unit_frame(p)[1])))
 
 
 def test_unit_frame_bracket_relations():

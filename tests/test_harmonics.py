@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactflow import geometry, harmonics
-from contactflow.bracket import structure_constants
+from contactflow.bracket import lagrange_bracket, structure_constants
 from contactflow.fields import FrameField
 from contactflow.harmonics import (
     SpectralFunction,
@@ -18,7 +18,7 @@ from contactflow.harmonics import (
     quad_inner_M,
     synthesize,
 )
-from contactflow.rot3d import curl
+from contactflow.rot3d import curl, dmu_inner
 from reference import pdq, product, random_coeffs
 
 SQRT_4PI = np.sqrt(4.0 * np.pi)
@@ -216,6 +216,43 @@ def test_bad_arguments_raise_errors_that_name_them(call, error, name):
     # each used to raise numpy's or Python's words, naming no argument
     f = SpectralFunction.random(2, np.random.default_rng(1))
     with pytest.raises(error, match=r"needs %s to be" % name):
+        call(f)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    # a scalar operand: was float()'s words, or "constant c" for any argument
+    (lambda f: FrameField("x"), TypeError, "^a must be a SpectralFunction or a real number"),
+    (lambda f: FrameField(f, None), TypeError, "^u must be a SpectralFunction"),
+    (lambda f: FrameField(np.inf), ValueError, "^a must be finite"),
+    (lambda f: FrameField(f, f, -np.inf), ValueError, "^w must be finite"),
+    (lambda f: FrameField.contact(1j), TypeError, "^f must be"),
+    (lambda f: FrameField.gradient(np.nan), ValueError, "^u must be finite"),
+    (lambda f: lagrange_bracket("x", f), TypeError, "^f must be"),
+    (lambda f: lagrange_bracket(f, np.nan), ValueError, "^h must be finite"),
+    (lambda f: dmu_inner("x", f), TypeError, "^f must be"),
+    (lambda f: dmu_inner(f, [1.0]), TypeError, "^h must be"),
+    # a non-integer degree or order: was truncated by int()
+    (lambda f: SpectralFunction.from_triples([(1.5, 0, 1.0)]), ValueError,
+     r"^triple \(1.5, 0, 1.0\) needs l to be an integer >= 0, got 1.5"),
+    (lambda f: SpectralFunction.from_triples([(2, 0.5, 1.0)]), ValueError,
+     r"^triple \(2, 0.5, 1.0\) needs m to be an integer >= -2"),
+    (lambda f: SpectralFunction.from_triples([(True, 0, 1.0)]), ValueError, "needs l"),
+    # operator misuse: was an AttributeError, float()'s words or NaN coefficients
+    (lambda f: f + 1.0, TypeError, "unsupported operand"),
+    (lambda f: f - "x", TypeError, "unsupported operand"),
+    (lambda f: f * "x", TypeError, "^c must be a real number"),
+    (lambda f: 1j * f, TypeError, "^c must be a real number"),
+    (lambda f: f * np.nan, ValueError, "^c must be finite"),
+    (lambda f: FrameField(f) * np.inf, ValueError, "^c must be finite"),
+    # grid degrees: was a message about the derived nlat, or a grid
+    (lambda f: SphereGrid.for_degree(2.5), ValueError,
+     "^SphereGrid.for_degree needs L to be an integer >= 0, got 2.5"),
+    (lambda f: SphereGrid.for_integration(-3, 2), ValueError, "needs deg_integrand"),
+    (lambda f: SphereGrid.for_integration(4, True), ValueError, "needs deg_synth"),
+])
+def test_misused_operands_raise_errors_that_name_them(call, error, match):
+    f = SpectralFunction.random(2, np.random.default_rng(1))
+    with pytest.raises(error, match=match):
         call(f)
 
 

@@ -7,9 +7,10 @@ validating constructor."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contactflow import geometry
 from contactflow.bracket import _brackets
 from contactflow.fields import FrameField
 from contactflow.harmonics import (
@@ -28,14 +29,15 @@ SEED = st.integers(0, 2 ** 32 - 1)
 
 
 def assert_owned(results, operands=()):
-    """Each result's coeffs: a float (L+1, 2L+1) array that owns its data
-    (not a view, such as a row of a batch) and shares no memory with an
-    operand's coeffs or with another result's."""
+    """Each result's coeffs: a writeable float (L+1, 2L+1) array that owns
+    its data (not a view, such as a row of a batch, nor a cached read-only
+    array) and shares no memory with an operand's coeffs or with another
+    result's."""
     seen = [g.coeffs for g in operands]
     for r in results:
         c = r.coeffs
         assert c.dtype == float and c.shape == (r.L + 1, 2 * r.L + 1)
-        assert c.flags.owndata
+        assert c.flags.owndata and c.flags.writeable
         assert not any(np.shares_memory(c, other) for other in seen)
         seen.append(c)
 
@@ -72,12 +74,40 @@ def test_operations_own_their_results(Lf, Lh, L, seed, c):
 
 @settings(max_examples=30, deadline=None)
 @given(L=DEGREE, lmin=DEGREE, seed=SEED, scale=st.floats(-10.0, 10.0))
+@example(L=5, lmin=0, seed=1, scale=1.0)    # the draw without a scale pass
+@example(L=5, lmin=1, seed=2, scale=1.0)
+@example(L=5, lmin=1, seed=3, scale=1)
 def test_random_owns_its_draw(L, lmin, seed, scale):
     rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     draws = [SpectralFunction.random(L, rng, lmin, scale) for _ in range(2)]
     assert_owned(draws)
     for got in draws:
         assert_bits(got, SpectralFunction(reference.random_coeffs(L, want_rng, lmin, scale)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(L=DEGREE, seed=SEED)
+def test_norm_and_qmul_are_the_reference(L, seed):
+    # norm_base takes np.linalg.norm's steps without its dispatch; qmul fills
+    # one array by component with the stacked expressions
+    rng = np.random.default_rng(seed)
+    f = SpectralFunction.random(L, rng)
+    assert f.norm_base() == float(np.linalg.norm(f.coeffs))
+    a, b = rng.standard_normal((2, L + 1, 4))
+    for x, y in ((a, b), (a, b[0]), (a[0], b), (a[0], b[0])):
+        got, want = geometry.qmul(x, y), reference.qmul(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.owndata and got.flags.writeable and got.flags.c_contiguous
+
+
+def test_instances_take_no_unknown_attribute():
+    # __slots__: a mistyped attribute raises instead of being set unnoticed
+    f = SpectralFunction.constant(1.0)
+    X = FrameField(f)
+    for obj, name in ((f, "coefs"), (X, "b")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0.0)
+        assert not hasattr(obj, "__dict__")
 
 
 @settings(max_examples=40, deadline=None)
