@@ -14,10 +14,10 @@ degree D + L exactly projects the bracket exactly (stronger than the 3/2
 de-aliasing rule).
 At L = D this is for_degree(D); the flow's brackets (L = D/2) get a grid
 3/4 as fine each way and Legendre tables of half the degree.  A batch
-stacks the operands of all brackets with the same (D, L, max degree), on
-the grid and padding each would get alone, so every bracket is bit-for-bit
-its own call.  The structure constants synthesize the whole basis once on
-for_degree(2L) and are stored as (i, j, k, c) arrays.
+stacks the operands of the brackets of one (D, max degree), grouped by
+harmonics._groups, on the grid and padding each would get alone, so every
+bracket is bit-for-bit its own call.  The structure constants synthesize
+the whole basis once on for_degree(2L) and are stored as (i, j, k, c) arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .harmonics import (
     TANGENTIAL,
     SphereGrid,
     SpectralFunction,
-    _triangle,
+    _groups,
+    _spectrum,
     adjoint_analyze,
     inner_M,
     synthesize,
@@ -54,17 +55,13 @@ def lagrange_bracket(f, h, L_out=None):
 
 def _brackets(pairs, L_out=None):
     """[f, h] of each (f, h) pair, bit-for-bit its own lagrange_bracket:
-    the pairs of one (D, L, L_in) share that bracket's grid, one synthesize
-    call for both tangential derivatives and one analysis."""
+    the pairs of one (D, L_in) (L follows from D) share that bracket's grid,
+    one synthesize call for both derivatives and one analysis."""
     if L_out is not None:
         L_out = geometry._positive_count(L_out, "lagrange_bracket needs L_out", least=0)
-    groups = {}
-    for n, (f, h) in enumerate(pairs):
-        D = f.L + h.L
-        key = (D, D if L_out is None else min(L_out, D), max(f.L, h.L))
-        groups.setdefault(key, []).append(n)
     out = [None] * len(pairs)
-    for (D, L, L_in), idx in groups.items():
+    for (D, L_in), idx in _groups((f.L + h.L, max(f.L, h.L)) for f, h in pairs).items():
+        L = D if L_out is None else min(L_out, D)
         grid = SphereGrid.for_integration(D + L, L_in)
         fh = np.array([[w._coeffs_at(L_in) for w in pairs[n]] for n in idx])
         d = synthesize(fh, grid, deriv=TANGENTIAL)            # [bracket, f/h, tag]
@@ -158,7 +155,7 @@ def structure_constants(L):
     L = geometry._positive_count(L, "structure_constants needs L")
     n, D = basis_size(L), 2 * L
     basis = np.stack([basis_function(i, L).coeffs for i in range(n)])
-    slots = _triangle(D)
+    slots = _spectrum(D).slots
     deg = np.nonzero(slots)[0]
     grid = SphereGrid.for_degree(D)
     d = synthesize(basis, grid, deriv=TANGENTIAL)

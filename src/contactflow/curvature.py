@@ -11,9 +11,9 @@ metric and cross-validated:
   * the eigenfunction closed form (for single-degree pairs).
 
 The routes share no bracket or operand, since their agreement is the
-check.  Within a route, the distinct brackets of one dependency level are
-one batched call, bit-for-bit the single brackets, and the quadratures
-(harmonics._quad_inners) synthesize each distinct operand once per grid.
+check.  Within a route, one dependency level's distinct brackets are one
+batched call, bit-for-bit the single brackets, and harmonics._quad_inners
+synthesizes each distinct operand once per grid, in harmonics._groups' order.
 
 The structure-constant form carries an unresolved overall sign in its
 source.  Matching it against the eigenfunction form fixes STRUCTURAL_SIGN

@@ -52,6 +52,7 @@ from .harmonics import (
     _frozen,
     _finite,
     _PointPlan,
+    _groups,
     adjoint_analyze,
     analyze,
     synthesize,
@@ -71,13 +72,14 @@ def _as_spectral(f, name):
 def _section(at, fields):
     """Section components [field, (A, B, C), ...] on a SphereGrid or at a
     _PointPlan's points, bit for bit each field's own (a stack's slices are
-    their own calls' at 2+ points); a degree-0 u or w is zero, not evaluated."""
+    their own calls' at 2+ points), one stacked evaluation per degree in
+    harmonics._groups' order; a degree-0 u or w is zero, not evaluated."""
     evaluate, shape = (((lambda c, deriv: synthesize(c, at, deriv)), (at.nlat, at.nlon))
                        if isinstance(at, SphereGrid) else (at.evaluate, at.shape))
 
-    def by_degree(rows, deriv, out):    # (row, coeffs) pairs: one stacked evaluation per degree
-        for L in dict.fromkeys(len(c) for _, c in rows):
-            group = [(i, c) for i, c in rows if len(c) == L]
+    def by_degree(rows, deriv, out):    # rows: (row of out, coeffs) pairs
+        for idx in _groups(len(c) for _, c in rows).values():
+            group = [rows[n] for n in idx]
             out[[i for i, _ in group]] = evaluate(np.array([c for _, c in group]), deriv)
 
     comps = np.empty((len(fields), 3) + shape)
@@ -173,9 +175,13 @@ class FrameField:
         return max(self.a.L, self.u.L, self.w.L)
 
     def __add__(self, other):
+        if not isinstance(other, FrameField):
+            return NotImplemented
         return FrameField(self.a + other.a, self.u + other.u, self.w + other.w)
 
     def __sub__(self, other):
+        if not isinstance(other, FrameField):
+            return NotImplemented
         return FrameField(self.a - other.a, self.u - other.u, self.w - other.w)
 
     def __mul__(self, c):
@@ -219,9 +225,10 @@ def _quad_g_inners_M(pairs):
     """_quad_g_inner_M of each (X, Y) pair, bit for bit: one product and component
     sum of the unit-frame component grids per grid, one quadrature per pair."""
     keys = [(X.degree + Y.degree, max(X.degree, Y.degree)) for X, Y in pairs]
-    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
-    comps = {key: _section(grid, [X for k, p in zip(keys, pairs) if k == key for X in p])
-             for key, grid in grids.items()}
-    g = {key: iter(np.add.reduce(c[0::2] * c[1::2], axis=1, initial=0.0))
-         for key, c in comps.items()}
-    return [geometry.FIBER_FACTOR * grids[key].integrate(next(g[key])) for key in keys]
+    out = [None] * len(pairs)
+    for key, idx in _groups(keys).items():
+        grid = SphereGrid.for_integration(*key)
+        c = _section(grid, [X for n in idx for X in pairs[n]])
+        for n, g in zip(idx, np.add.reduce(c[0::2] * c[1::2], axis=1, initial=0.0)):
+            out[n] = geometry.FIBER_FACTOR * grid.integrate(g)
+    return out

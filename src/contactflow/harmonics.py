@@ -15,7 +15,8 @@ The M-Laplacian eigenvalue on degree-l pullbacks is
 alpha_l = LAPLACE_SCALE * l(l+1) with LAPLACE_SCALE = 2, a constant of the
 calibrated metric.  laplace_scale() re-measures it on every call against
 the frame-derivative oracle of the geometry module; a test holds the two
-equal, and `contactflow calibrate` reports the measured value.
+equal, and `contactflow calibrate` reports the measured value.  One cached
+record per L holds the (l, m) slot mask and alpha_l, 1 + alpha_l, 1/alpha_l.
 
 Every transform is two matmuls.  The Legendre step is one kernel pair:
 _forward maps coefficients to the per-order sums (a_m, b_m) of the
@@ -57,10 +58,12 @@ arrays are read-only.
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
 product of two syntheses on SphereGrid.for_integration(deg u + deg v,
 max degree), exact for the degree of the product, without Parseval.
+Every stacked call of the package batches its items in one order, _groups'.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -127,11 +130,6 @@ def _recurrence_columns(L):
                  np.sqrt(((l - 1.0) ** 2 - k * k) / (4.0 * (l - 1.0) ** 2 - 1.0))]
     cols = [_frozen(v[:, None, None]) for v in cols]
     return cols[0], cols[1], tuple(zip(cols[2::2], cols[3::2]))
-
-
-def _triangle(L):
-    """Mask of the (l, m) slots of coeffs[l, L + m]; row-major, in basis order."""
-    return np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
 
 
 def _frozen(a):
@@ -324,30 +322,25 @@ def eigenvalue(l):
     return LAPLACE_SCALE * l * (l + 1.0)
 
 
-@functools.lru_cache(maxsize=32)
-def _alpha_column_of(L):
-    """eigenvalue of the degrees 0..L as a read-only column, shared per L."""
-    return _frozen(eigenvalue(np.arange(L + 1))[:, None])
+_Spectrum = collections.namedtuple("_Spectrum", "slots alpha helmholtz inverse_alpha")
 
 
 @functools.lru_cache(maxsize=32)
-def _helmholtz_column_of(L):
-    """1 + alpha_l of the degrees 0..L as a read-only column, shared per L."""
-    return _frozen(1.0 + _alpha_column_of(L))
-
-
-@functools.lru_cache(maxsize=32)
-def _inverse_alpha_column_of(L):
-    """1 / alpha_l of the degrees 1..L, 0 at l = 0, as a read-only column, shared per L."""
-    inv = np.zeros((L + 1, 1))
-    inv[1:] = 1.0 / _alpha_column_of(L)[1:]
-    return _frozen(inv)
+def _spectrum(L):
+    """The per-degree tables of band limit L, one read-only record: the mask
+    of the (l, m) slots of coeffs[l, L + m] (row-major, in basis order) and
+    the columns alpha_l, 1 + alpha_l and 1 / alpha_l (0 at l = 0), l = 0..L."""
+    alpha = eigenvalue(np.arange(L + 1))[:, None]
+    inverse = np.zeros((L + 1, 1))
+    inverse[1:] = 1.0 / alpha[1:]
+    slots = np.abs(np.arange(-L, L + 1)) <= np.arange(L + 1)[:, None]
+    return _Spectrum(*map(_frozen, (slots, alpha, 1.0 + alpha, inverse)))
 
 
 @functools.lru_cache(maxsize=32)
 def _support_of(L, lmin):
     """(mask, count) of the (l, m) slots of degree lmin <= l <= L; the mask is read-only."""
-    support = _triangle(L) & (np.arange(L + 1) >= lmin)[:, None]
+    support = _spectrum(L).slots & (np.arange(L + 1) >= lmin)[:, None]
     return _frozen(support), int(np.count_nonzero(support))
 
 
@@ -421,13 +414,7 @@ class SpectralFunction:
     @classmethod
     def mode(cls, l, m, value=1.0, L=None):
         """A single basis coefficient (l, m); sin branch for m < 0."""
-        if L is None:
-            L = l
-        if not (0 <= l <= L and -l <= m <= l):
-            raise ValueError("mode indices out of range")
-        f = cls.zeros(L)
-        f.coeffs[l, L + m] = _finite(value, "mode value")
-        return f
+        return cls.from_triples([(l, m, _finite(value, "mode value"))], L)
 
     @classmethod
     def random(cls, L, rng, lmin=0, scale=1.0):
@@ -449,12 +436,11 @@ class SpectralFunction:
             needs = "triple %r needs " % ((l, m, v),)
             l = geometry._positive_count(l, needs + "l", least=0)
             checked.append((l, geometry._positive_count(m, needs + "m", least=-l), v))
-        triples = checked
         if L is None:
-            L = max((l for l, _, _ in triples), default=0)
+            L = max((l for l, _, _ in checked), default=0)
         f = cls.zeros(L)
         seen = set()
-        for l, m, v in triples:
+        for l, m, v in checked:
             if not (0 <= l <= L and -l <= m <= l):
                 raise ValueError("triple (%d, %d) out of range" % (l, m))
             if (l, m) in seen:
@@ -468,7 +454,7 @@ class SpectralFunction:
         return f
 
     def to_triples(self):
-        l, col = np.nonzero(_triangle(self.L))
+        l, col = np.nonzero(_spectrum(self.L).slots)
         return [(int(a), int(b) - self.L, float(v))
                 for a, b, v in zip(l, col, self.coeffs[l, col]) if abs(v) > 0.0]
 
@@ -525,21 +511,21 @@ class SpectralFunction:
     # -- diagonal operators ---------------------------------------------------
 
     def laplacian(self):
-        return SpectralFunction._of(self.coeffs * _alpha_column_of(self.L))
+        return SpectralFunction._of(self.coeffs * _spectrum(self.L).alpha)
 
     def helmholtz(self):
         """D f = (1 + Delta) f."""
-        return SpectralFunction._of(self.coeffs * _helmholtz_column_of(self.L))
+        return SpectralFunction._of(self.coeffs * _spectrum(self.L).helmholtz)
 
     def inverse_helmholtz(self):
         """D^-1 f."""
-        return SpectralFunction._of(self.coeffs / _helmholtz_column_of(self.L))
+        return SpectralFunction._of(self.coeffs / _spectrum(self.L).helmholtz)
 
     def inverse_laplacian(self):
         """Delta^-1 f; defined only on mean-zero input."""
         if not self.mean_zero():
             raise ValueError("inverse_laplacian requires a mean-zero function")
-        c = self.coeffs * _inverse_alpha_column_of(self.L)
+        c = self.coeffs * _spectrum(self.L).inverse_alpha
         c[0, self.L] = 0.0
         return SpectralFunction._of(c)
 
@@ -785,16 +771,26 @@ def _operand_error(needs, error, **operands):
 
 def _quad_inners(pairs):
     """quad_inner_M of each (u, v) pair, bit-for-bit, each on its own grid:
-    a grid synthesizes each distinct operand (by identity) once, in one
-    stacked call per degree."""
-    keys = [(u.L + v.L, max(u.L, v.L)) for u, v in pairs]
-    grids = {key: SphereGrid.for_integration(*key) for key in dict.fromkeys(keys)}
-    stacks = {}
-    for key, pair in zip(keys, pairs):
-        for w in pair:
-            stacks.setdefault((key, w.L), {})[key, id(w)] = w.coeffs
-    vals = {}
-    for (key, _), ops in stacks.items():
-        vals.update(zip(ops, synthesize(np.array(list(ops.values())), grids[key])))
-    return [geometry.FIBER_FACTOR * grids[key].integrate(vals[key, id(u)] * vals[key, id(v)])
-            for key, (u, v) in zip(keys, pairs)]
+    a grid synthesizes each distinct operand (by identity) of its pairs
+    once, in one stacked call per degree."""
+    out = [None] * len(pairs)
+    for key, idx in _groups((u.L + v.L, max(u.L, v.L)) for u, v in pairs).items():
+        grid = SphereGrid.for_integration(*key)
+        ops = list({id(w): w for n in idx for w in pairs[n]}.values())
+        vals = {}
+        for group in _groups(w.L for w in ops).values():
+            stack = synthesize(np.array([ops[i].coeffs for i in group]), grid)
+            vals.update(zip([id(ops[i]) for i in group], stack))
+        for n in idx:
+            u, v = pairs[n]
+            out[n] = geometry.FIBER_FACTOR * grid.integrate(vals[id(u)] * vals[id(v)])
+    return out
+
+
+def _groups(keys):
+    """{key: ascending indices of its items}, the keys in order of first
+    appearance: the one batch order of every stacked call."""
+    groups = {}
+    for n, key in enumerate(keys):
+        groups.setdefault(key, []).append(n)
+    return groups

@@ -45,6 +45,7 @@ from .harmonics import (
     TANGENTIAL,
     SpectralFunction,
     SphereGrid,
+    _groups,
     adjoint_analyze,
 )
 
@@ -56,16 +57,15 @@ def curl(X):
     The xi-component of rot X picks up the plane components through the
     adjoint of the surface gradient; the phi-grad potential of rot X is the
     mean-free part of the xi-component of X.  Exact: rot X has the degree
-    of X.  The fields of one degree share one component pass on its grid,
-    one stacked analysis of their A grids and one stacked adjoint of their
-    (B, C) grids.
+    of X.  The fields of one degree, grouped by harmonics._groups, share
+    one component pass on its grid, one stacked analysis of their A grids
+    and one stacked adjoint of their (B, C) grids.
     """
     fields = list(X) if np.iterable(X) else [X]
     if not all(isinstance(Y, FrameField) for Y in fields):
         raise TypeError("curl needs X to be a FrameField or a sequence of them, got %r" % (X,))
     out = [None] * len(fields)
-    for L in dict.fromkeys(Y.degree for Y in fields):
-        idx = [i for i, Y in enumerate(fields) if Y.degree == L]
+    for L, idx in _groups(Y.degree for Y in fields).items():
         grid = SphereGrid.for_degree(L)
         comps = _section(grid, [fields[i] for i in idx])        # [field, (A, B, C), j, k]
         a_spec = adjoint_analyze(comps[:, 0], grid, L, None)
@@ -181,8 +181,7 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
                             for n, name in ((L, "L"), (n_pairs, "n_pairs"),
                                             (n_points, "n_points")))
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_points, 4))
-    pts = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    pts = geometry._random_points(rng, n_points)
     plan = _NodePlan(pts)
     checks = []
 

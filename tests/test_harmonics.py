@@ -103,8 +103,8 @@ def test_eigenvalue_takes_numpy_integers_and_degree_arrays():
     assert eigenvalue(np.int64(3)) == eigenvalue(3) == 24.0
     assert eigenvalue(np.floor(np.sqrt(np.arange(5)))).tolist() == [0.0, 4.0, 4.0, 4.0, 12.0]
     # the diagonal operators read a shared read-only column, never the check
-    col = harmonics._alpha_column_of(4)
-    assert col is harmonics._alpha_column_of(4)
+    col = harmonics._spectrum(4).alpha
+    assert col is harmonics._spectrum(4).alpha
     assert not col.flags.writeable
     assert col.ravel().tolist() == eigenvalue(np.arange(5)).tolist()
 
@@ -244,6 +244,8 @@ def test_bad_arguments_raise_errors_that_name_them(call, error, name):
     (lambda f: 1j * f, TypeError, "^c must be a real number"),
     (lambda f: f * np.nan, ValueError, "^c must be finite"),
     (lambda f: FrameField(f) * np.inf, ValueError, "^c must be finite"),
+    (lambda f: FrameField(1.0) + 1.0, TypeError, "unsupported operand"),
+    (lambda f: FrameField(f) - None, TypeError, "unsupported operand"),
     # grid degrees: was a message about the derived nlat, or a grid
     (lambda f: SphereGrid.for_degree(2.5), ValueError,
      "^SphereGrid.for_degree needs L to be an integer >= 0, got 2.5"),
@@ -254,6 +256,18 @@ def test_misused_operands_raise_errors_that_name_them(call, error, match):
     f = SpectralFunction.random(2, np.random.default_rng(1))
     with pytest.raises(error, match=match):
         call(f)
+
+
+@pytest.mark.parametrize("args, kwargs, match", [
+    ((2, 0.5), {"L": 3}, r"^triple \(2, 0.5, 1.0\) needs m"),    # was numpy's IndexError
+    ((1.5, 0), {}, r"^triple \(1.5, 0, 1.0\) needs l"),         # blamed "zeros needs L"
+    ((True, 0), {}, "needs l"),
+    ((2, 3), {}, r"^triple \(2, 3\) out of range"),
+    ((3, 0), {"L": 2}, r"^triple \(3, 0\) out of range"),
+], ids=["m-0.5", "l-1.5", "l-True", "m-above-l", "l-above-L"])
+def test_mode_checks_its_indices_as_a_triple(args, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SpectralFunction.mode(*args, **kwargs)
 
 
 def test_triples_reject_a_repeated_mode():
