@@ -8,6 +8,8 @@ sectional curvature in three independent formulations, and the classical
 curl identities relating contact fields to divergence-free fields.
 """
 
+import types
+
 from .geometry import (
     QuadratureS3,
     verify_axioms,
@@ -60,51 +62,8 @@ from .rot3d import (
     rot_report,
 )
 
-__all__ = [
-    "QuadratureS3",
-    "verify_axioms",
-    "VOL_S3",
-    "FIBER_FACTOR",
-    "GridFunction",
-    "SpectralFunction",
-    "SphereGrid",
-    "analyze",
-    "eigenvalue",
-    "inner_M",
-    "synthesize",
-    "FrameField",
-    "contact_field",
-    "contact_field_at",
-    "StructureConstants",
-    "basis_function",
-    "basis_index",
-    "basis_lm",
-    "basis_size",
-    "lagrange_bracket",
-    "structure_constants",
-    "MetricKind",
-    "biinvariant_inner",
-    "energy_inner",
-    "inner",
-    "BlowUpError",
-    "FlowResult",
-    "FlowState",
-    "IntegratorConfig",
-    "evolve",
-    "SectionPlane",
-    "k_biinvariant",
-    "k_eigen",
-    "k_right_invariant",
-    "k_structural",
-    "projected_covariant",
-    "structural_sign",
-    "contact_curl",
-    "curl",
-    "curl_fd",
-    "curl_inverse_contact",
-    "divergence_fd",
-    "dmu_inner",
-    "rot_report",
-]
+# Every public name imported above, in import order; not the submodules.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 
 __version__ = "0.1.0"

@@ -99,8 +99,7 @@ def basis_function(i, L=None):
     """i-th basis element: the pullback of Y_lm / sqrt(fibre factor),
     orthonormal in L^2(M)."""
     l, m = basis_lm(i)
-    return SpectralFunction.mode(l, m, value=1.0 / np.sqrt(geometry.FIBER_FACTOR),
-                                 L=L if L is not None else l)
+    return SpectralFunction.mode(l, m, value=1.0 / np.sqrt(geometry.FIBER_FACTOR), L=L)
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,7 +221,7 @@ def cmd_axioms(args):
 
 def cmd_brackets(args):
     table = structure_constants(args.L)
-    rows = [(i, j, k, v) for i, j, k, v in table.iter_rows()]
+    rows = list(table.iter_rows())
     if args.format == "csv":
         emit(render_csv(("i", "j", "k", "value"), rows), args.out)
     else:
@@ -276,12 +276,8 @@ def cmd_evolve(args):
         return 1
     header = (["t", "T"] + ["I_%d" % k for k in range(1, args.k_max + 1)]
               + ["coeff_norm"])
-    rows = []
-    for idx, t in enumerate(result.times):
-        rows.append([float(t), float(result.energy[idx])]
-                    + [float(result.casimirs[idx, k - 1])
-                       for k in range(1, args.k_max + 1)]
-                    + [float(result.coeff_norms[idx])])
+    rows = np.column_stack([result.times, result.energy, result.casimirs,
+                            result.coeff_norms]).tolist()
     snapshots = None
     if args.snapshot_every:
         snapshots = [{"t": st.t, "coefficients": st.h.to_triples()}

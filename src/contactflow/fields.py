@@ -216,14 +216,10 @@ def contact_field_at(f, q):
     return _NodePlan(q).ambient([FrameField.contact(f)])[0]
 
 
-def _quad_g_inner_M(X, Y):
-    """int_M g(X, Y) dmu by grid quadrature (independent of Parseval)."""
-    return _quad_g_inners_M([(X, Y)])[0]
-
-
 def _quad_g_inners_M(pairs):
-    """_quad_g_inner_M of each (X, Y) pair, bit for bit: one product and component
-    sum of the unit-frame component grids per grid, one quadrature per pair."""
+    """int_M g(X, Y) dmu of each (X, Y) pair by grid quadrature (independent of
+    Parseval): one product and component sum of the unit-frame component grids
+    per grid, one quadrature per pair."""
     keys = [(X.degree + Y.degree, max(X.degree, Y.degree)) for X, Y in pairs]
     out = [None] * len(pairs)
     for key, idx in _groups(keys).items():

@@ -131,25 +131,21 @@ def evolve(state0, cfg):
     if not np.all(np.isfinite(state0.h.coeffs)):
         raise ValueError("evolve needs a finite initial momentum state0.h")
     n_steps = int(round(cfg.t_end / cfg.dt))
+
+    def sample(state, norm):
+        return state, state.t, kinetic_energy(state.h), casimirs(state.h, cfg.k_max), norm
+
     state = state0
-    states = [state]
-    times = [state.t]
-    energies = [kinetic_energy(state.h)]
-    cas = [casimirs(state.h, cfg.k_max)]
-    norms = [state.h.norm_M()]
+    samples = [sample(state, state.h.norm_M())]
     for i in range(1, n_steps + 1):
         state = step(state, cfg.dt)
         norm = state.h.norm_M()
         if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
             raise BlowUpError(state.t, norm)
         if i % cfg.invariant_sample_stride == 0 or i == n_steps:
-            states.append(state)
-            times.append(state.t)
-            energies.append(kinetic_energy(state.h))
-            cas.append(casimirs(state.h, cfg.k_max))
-            norms.append(norm)
-    return FlowResult(states, np.array(times), np.array(energies),
-                      np.array(cas), np.array(norms))
+            samples.append(sample(state, norm))
+    states, *logs = zip(*samples)
+    return FlowResult(list(states), *map(np.array, logs))
 
 
 def relative_drift(series):

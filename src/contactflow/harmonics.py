@@ -421,6 +421,7 @@ class SpectralFunction:
         """Gaussian coefficients over lmin <= l <= L (triangular support), one draw."""
         scale = _finite(scale, "random scale")
         L = geometry._positive_count(L, "random needs L", least=0)
+        lmin = geometry._positive_count(lmin, "random needs lmin", least=0)
         support, count = _support_of(L, lmin)
         c = np.zeros((L + 1, 2 * L + 1))
         c[support] = rng.normal(size=count)
@@ -430,7 +431,8 @@ class SpectralFunction:
 
     @classmethod
     def from_triples(cls, triples, L=None):
-        """Build from (l, m, value) triples of integers l, m; each (l, m) at most once."""
+        """Build from (l, m, value) triples: integers l, m and a finite real value, each
+        (l, m) at most once; L defaults to the highest l."""
         checked = []
         for l, m, v in triples:
             needs = "triple %r needs " % ((l, m, v),)
@@ -438,19 +440,16 @@ class SpectralFunction:
             checked.append((l, geometry._positive_count(m, needs + "m", least=-l), v))
         if L is None:
             L = max((l for l, _, _ in checked), default=0)
+        L = geometry._positive_count(L, "from_triples needs L", least=0)
         f = cls.zeros(L)
         seen = set()
         for l, m, v in checked:
-            if not (0 <= l <= L and -l <= m <= l):
-                raise ValueError("triple (%d, %d) out of range" % (l, m))
+            if not (l <= L and m <= l):
+                raise ValueError("triple (%d, %d) out of range for L = %d" % (l, m, L))
             if (l, m) in seen:
                 raise ValueError("triple (%d, %d) given twice" % (l, m))
             seen.add((l, m))
-            v = float(v)
-            if not np.isfinite(v):
-                raise ValueError("triple (%d, %d) value %r is not finite"
-                                 % (l, m, v))
-            f.coeffs[l, L + m] = v
+            f.coeffs[l, L + m] = _finite(v, "triple (%d, %d) value" % (l, m))
         return f
 
     def to_triples(self):
@@ -482,9 +481,6 @@ class SpectralFunction:
         if L >= self.L:
             return self.padded(L)
         return SpectralFunction._of(self.coeffs[: L + 1, self.L - L: self.L + L + 1].copy())
-
-    def degree_slice(self, l):
-        return self.coeffs[l, self.L - l: self.L + l + 1]
 
     # -- algebra -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 
-from .fields import _as_spectral, _quad_g_inner_M, contact_field
+from .fields import _as_spectral, _quad_g_inners_M, contact_field
 from .harmonics import inner_M, quad_inner_M
 
 
@@ -45,7 +45,7 @@ def inner(kind, f, h, method="spectral"):
         raise ValueError("unknown method %r" % method)
     if kind is MetricKind.BI_INVARIANT:
         return quad_inner_M(f, h)
-    return _quad_g_inner_M(contact_field(f), contact_field(h))
+    return _quad_g_inners_M([(contact_field(f), contact_field(h))])[0]
 
 
 def energy_inner(f, h):

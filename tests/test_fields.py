@@ -101,7 +101,7 @@ def test_g_inner_M_matches_quadrature():
     want = float(np.dot(quad.weights, vals))
     # the grid field pairing, on the section lift alone, against the
     # fibre-sampling oracle
-    assert abs(fields._quad_g_inner_M(X, Y) - want) < 1e-9
+    assert abs(fields._quad_g_inners_M([(X, Y)])[0] - want) < 1e-9
     # QuadratureS3.build stays uncached and writable
     again = geometry.QuadratureS3.build(8, 16, 2)
     assert again.nodes is not quad.nodes and again.nodes.flags.writeable
@@ -132,7 +132,7 @@ def test_batched_pairings_are_each_pairs_own(kinds, hamiltonians, seed):
     fh = [tuple(SpectralFunction.random(L, rng) for L in degrees) for degrees in hamiltonians]
     got = fields._quad_g_inners_M(pairs + [_dmu_fields(f, h) for f, h in fh])
     for (X, Y), value in zip(pairs, got):
-        assert value == fields._quad_g_inner_M(X, Y) == g_inner_M(X, Y)
+        assert value == fields._quad_g_inners_M([(X, Y)])[0] == g_inner_M(X, Y)
     for (f, h), value in zip(fh, got[len(pairs):]):
         assert value == dmu_inner(f, h) == g_inner_M(*_dmu_fields(f, h))
 

@@ -142,7 +142,7 @@ def test_triples_round_trip_and_slices():
     f = SpectralFunction.from_triples([(0, 0, 1.0), (2, -1, -0.5), (3, 3, 2.0)])
     assert f.L == 3
     assert sorted(f.to_triples()) == [(0, 0, 1.0), (2, -1, -0.5), (3, 3, 2.0)]
-    assert np.allclose(f.degree_slice(2), [0.0, -0.5, 0.0, 0.0, 0.0])
+    assert np.allclose(f.coeffs[2, f.L - 2: f.L + 3], [0.0, -0.5, 0.0, 0.0, 0.0])
     assert f.truncated(1).L == 1
     with pytest.raises(ValueError):
         SpectralFunction.from_triples([(1, 2, 1.0)])
@@ -237,6 +237,18 @@ def test_bad_arguments_raise_errors_that_name_them(call, error, name):
     (lambda f: SpectralFunction.from_triples([(2, 0.5, 1.0)]), ValueError,
      r"^triple \(2, 0.5, 1.0\) needs m to be an integer >= -2"),
     (lambda f: SpectralFunction.from_triples([(True, 0, 1.0)]), ValueError, "needs l"),
+    # a triple's value: was float()'s words, or any numeric string
+    (lambda f: SpectralFunction.from_triples([(1, 0, "x")]), TypeError,
+     r"^triple \(1, 0\) value must be a real number, got 'x'"),
+    (lambda f: SpectralFunction.from_triples([(1, 0, 1j)]), TypeError,
+     r"^triple \(1, 0\) value must be a real number, got 1j"),
+    # the lowest degree of a draw: was rounded up, or read as 0
+    (lambda f: SpectralFunction.random(3, np.random.default_rng(0), lmin=2.5), ValueError,
+     "^random needs lmin to be an integer >= 0, got 2.5"),
+    (lambda f: SpectralFunction.random(3, np.random.default_rng(0), lmin=-1), ValueError,
+     "^random needs lmin to be an integer >= 0, got -1"),
+    (lambda f: SpectralFunction.random(3, np.random.default_rng(0), lmin=True), ValueError,
+     "^random needs lmin"),
     # operator misuse: was an AttributeError, float()'s words or NaN coefficients
     (lambda f: f + 1.0, TypeError, "unsupported operand"),
     (lambda f: f - "x", TypeError, "unsupported operand"),
@@ -263,8 +275,10 @@ def test_misused_operands_raise_errors_that_name_them(call, error, match):
     ((1.5, 0), {}, r"^triple \(1.5, 0, 1.0\) needs l"),         # blamed "zeros needs L"
     ((True, 0), {}, "needs l"),
     ((2, 3), {}, r"^triple \(2, 3\) out of range"),
-    ((3, 0), {"L": 2}, r"^triple \(3, 0\) out of range"),
-], ids=["m-0.5", "l-1.5", "l-True", "m-above-l", "l-above-L"])
+    ((3, 0), {"L": 2}, r"^triple \(3, 0\) out of range for L = 2"),
+    ((1, 0), {"L": 2.5},                                        # blamed "zeros needs L"
+     "^from_triples needs L to be an integer >= 0, got 2.5"),
+], ids=["m-0.5", "l-1.5", "l-True", "m-above-l", "l-above-L", "L-2.5"])
 def test_mode_checks_its_indices_as_a_triple(args, kwargs, match):
     with pytest.raises(ValueError, match=match):
         SpectralFunction.mode(*args, **kwargs)

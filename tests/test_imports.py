@@ -1,11 +1,14 @@
 """No module imports a name it never uses.  The package's __init__ only
 re-exports, and the acceptance suite is kept as written, so both are
-left out."""
+left out.  What __init__ re-exports is exactly its public names."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import contactflow
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -36,3 +39,16 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nfrom numpy import pi, e as euler\nprint(pi)\n"
     assert unused_imports(source) == [(1, "os"), (2, "euler")]
+
+
+def test_star_import_binds_exactly_the_public_names():
+    # __all__ is derived from the package's imports: `import *` binds it and
+    # nothing else, and it holds no submodule, private name or repeat
+    namespace = {}
+    exec("from contactflow import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(contactflow.__all__)
+    assert len(set(contactflow.__all__)) == len(contactflow.__all__)
+    for name in contactflow.__all__:
+        assert not name.startswith("_")
+        assert not isinstance(getattr(contactflow, name), types.ModuleType)
