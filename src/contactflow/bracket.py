@@ -22,6 +22,7 @@ the whole basis once on for_degree(2L) and are stored as (i, j, k, c) arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -82,7 +83,7 @@ def basis_size(L):
 def basis_lm(i):
     """Basis enumeration: i -> (l, m), ordered by degree then by m."""
     i = geometry._positive_count(i, "a basis index needs i", least=0)
-    l = int(np.floor(np.sqrt(i)))
+    l = math.isqrt(i)
     return l, i - l * l - l
 
 
@@ -109,7 +110,8 @@ class StructureConstants:
     The basis {f_i} is the L^2(M)-orthonormal eigenfunction basis; entries
     with |c| <= DROP_TOL are dropped.  Only j < k pairs are stored, as four
     arrays in (j, k, i) order; antisymmetry supplies the rest.  A pair
-    beyond degree L raises ValueError.  The sorted pair keys j n + k are
+    beyond degree L, or with an index that is not an integer (a float such
+    as 2.0, or a bool), raises ValueError.  The sorted pair keys j n + k are
     formed once, at construction.
     """
     L: int
@@ -124,7 +126,9 @@ class StructureConstants:
     def _pair(self, j, k):
         """(i, c) arrays of the pair (j, k), with the antisymmetry sign."""
         n = basis_size(self.L)
-        if not (0 <= j < n and 0 <= k < n):
+        j = geometry._positive_count(j, "a pair lookup needs j", least=0)
+        k = geometry._positive_count(k, "a pair lookup needs k", least=0)
+        if not (j < n and k < n):
             raise ValueError("pair (%d, %d) beyond degree %d" % (j, k, self.L))
         key = min(j, k) * n + max(j, k)
         lo, hi = np.searchsorted(self._keys, (key, key + 1))

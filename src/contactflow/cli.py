@@ -9,6 +9,9 @@ sorted, no timestamps.  Another thread count may sum large matrix products
 in another order, which can change the last bits of a value (evolve's
 Casimir columns at L >= 48).
 
+Each subcommand returns its CSV header, its CSV rows and its JSON document;
+`main` renders the one --format asks for and writes it to --out or stdout.
+
 Exit status: 0 success; 1 a check failed (the failing residual is named on
 stderr) or the flow blew up; 2 a usage or config error, reported on stderr
 before anything is computed or written.
@@ -38,7 +41,6 @@ from .harmonics import SpectralFunction, laplace_scale
 from .metrics import MetricKind
 from .rot3d import rot_report
 
-COMMANDS = ("axioms", "brackets", "curvature", "evolve", "rot", "calibrate")
 _JSON_BY_DEFAULT = ("axioms", "rot", "calibrate")  # the others default to CSV
 
 
@@ -178,21 +180,12 @@ def render_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def checks_output(checks, fmt):
-    if fmt == "csv":
-        return render_csv(("name", "max_residual", "tolerance", "passed"),
-                          [(c["name"], c["max_residual"], c["tolerance"],
-                            c["passed"]) for c in checks])
-    return render_json({"checks": checks,
-                        "passed": all(c["passed"] for c in checks)})
+def _check_table(checks):
+    """A verification suite's (header, rows, doc)."""
+    return (("name", "max_residual", "tolerance", "passed"),
+            [(c["name"], c["max_residual"], c["tolerance"], c["passed"])
+             for c in checks],
+            {"checks": checks, "passed": all(c["passed"] for c in checks)})
 
 
 def fail_checks(checks):
@@ -215,20 +208,15 @@ def cmd_axioms(args):
                "max_residual": float(c.max_residual),
                "tolerance": float(c.tolerance), "passed": bool(c.passed)}
               for c in report]
-    emit(checks_output(checks, args.format), args.out)
-    return fail_checks(checks)
+    return _check_table(checks)
 
 
 def cmd_brackets(args):
     table = structure_constants(args.L)
     rows = list(table.iter_rows())
-    if args.format == "csv":
-        emit(render_csv(("i", "j", "k", "value"), rows), args.out)
-    else:
-        emit(render_json({"L": args.L,
-                          "entries": [{"i": i, "j": j, "k": k, "value": v}
-                                      for i, j, k, v in rows]}), args.out)
-    return 0
+    return (("i", "j", "k", "value"), rows,
+            {"L": args.L, "entries": [{"i": i, "j": j, "k": k, "value": v}
+                                      for i, j, k, v in rows]})
 
 
 def cmd_curvature(args):
@@ -251,12 +239,7 @@ def cmd_curvature(args):
                          sign))
     header = ("j", "k", "K_biinv", "K_right", "K_right_assembled",
               "K_eigen", "K_structural", "sign_flag")
-    if args.format == "csv":
-        emit(render_csv(header, rows), args.out)
-    else:
-        emit(render_json({"rows": [dict(zip(header, r)) for r in rows]}),
-             args.out)
-    return 0
+    return header, rows, {"rows": [dict(zip(header, r)) for r in rows]}
 
 
 def _initial_momentum(args):
@@ -268,37 +251,23 @@ def _initial_momentum(args):
 
 
 def cmd_evolve(args):
-    try:
-        result = evolve(FlowState(_initial_momentum(args), 0.0),
-                        args.integrator)
-    except BlowUpError as e:
-        sys.stderr.write("flow blow-up at t=%s\n" % repr(e.t))
-        return 1
+    result = evolve(FlowState(_initial_momentum(args), 0.0), args.integrator)
     header = (["t", "T"] + ["I_%d" % k for k in range(1, args.k_max + 1)]
               + ["coeff_norm"])
     rows = np.column_stack([result.times, result.energy, result.casimirs,
                             result.coeff_norms]).tolist()
-    snapshots = None
+    doc = {"columns": header, "rows": rows}
     if args.snapshot_every:
-        snapshots = [{"t": st.t, "coefficients": st.h.to_triples()}
-                     for st in result.states]
-    if args.format == "csv":
-        emit(render_csv(header, rows), args.out)
-        if snapshots is not None:
+        doc["snapshots"] = [{"t": st.t, "coefficients": st.h.to_triples()}
+                            for st in result.states]
+        if args.format == "csv":  # csv keeps the snapshots in a side file
             with open(args.out + ".snapshots.json", "w") as fh:
-                fh.write(render_json({"snapshots": snapshots}))
-    else:
-        doc = {"columns": header, "rows": rows}
-        if snapshots is not None:
-            doc["snapshots"] = snapshots
-        emit(render_json(doc), args.out)
-    return 0
+                fh.write(render_json({"snapshots": doc["snapshots"]}))
+    return header, rows, doc
 
 
 def cmd_rot(args):
-    checks = rot_report(L=args.L, seed=args.seed)
-    emit(checks_output(checks, args.format), args.out)
-    return fail_checks(checks)
+    return _check_table(rot_report(L=args.L, seed=args.seed))
 
 
 def cmd_calibrate(args):
@@ -310,12 +279,10 @@ def cmd_calibrate(args):
         # calibration constants are exact integers; strip arithmetic noise
         return float(np.round(x)) if abs(x - np.round(x)) < 1e-9 else float(x)
 
-    d_factor = snap(geometry.dtheta_form(q0, e2, e3))
-    orientation = float(np.sign(geometry.volume_form(
-        q0, *geometry.unit_frame(q0))))
     constants = {
-        "d_factor": d_factor,
-        "orientation_sign": orientation,
+        "d_factor": snap(geometry.dtheta_form(q0, e2, e3)),
+        "orientation_sign": float(np.sign(geometry.volume_form(
+            q0, *geometry.unit_frame(q0)))),
         "alpha_1": float(grid_scale * 1 * 2),
         "bracket_scale": snap(geometry.measure_bracket_scale()),
         "laplace_scale": float(grid_scale),
@@ -323,27 +290,27 @@ def cmd_calibrate(args):
         "fiber_factor": geometry.FIBER_FACTOR,
         "structural_sign": float(structural_sign()),
     }
-    if args.format == "csv":
-        emit(render_csv(("constant", "value"),
-                        sorted(constants.items())), args.out)
-    else:
-        emit(render_json(constants), args.out)
-    return 0
+    return ("constant", "value"), sorted(constants.items()), constants
 
 
-_DISPATCH = {
-    "axioms": cmd_axioms,
-    "brackets": cmd_brackets,
-    "curvature": cmd_curvature,
-    "evolve": cmd_evolve,
-    "rot": cmd_rot,
-    "calibrate": cmd_calibrate,
-}
+COMMANDS = dict(axioms=cmd_axioms, brackets=cmd_brackets, curvature=cmd_curvature,
+                evolve=cmd_evolve, rot=cmd_rot, calibrate=cmd_calibrate)
 
 
 def main(argv=None):
     args = parse_args(argv)
-    return _DISPATCH[args.command](args)
+    try:
+        header, rows, doc = COMMANDS[args.command](args)
+    except BlowUpError as e:
+        sys.stderr.write("flow blow-up at t=%s\n" % repr(e.t))
+        return 1
+    text = render_csv(header, rows) if args.format == "csv" else render_json(doc)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return fail_checks(doc.get("checks", []))
 
 
 if __name__ == "__main__":

@@ -276,9 +276,7 @@ def measure_laplace_eigenvalue_degree1():
     Lap f = -(v2^2 + v3^2) f for Reeb-invariant f, measured by frame finite
     differences on f = x1 o pi at a generic point.  Calibration gives 4.
     """
-    rng = np.random.default_rng(7)
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
+    q = _random_points(np.random.default_rng(7), 1)[0]
     f = lambda qq: hopf_point(qq)[..., 0]
     val = -(frame_second_derivative(f, 1, q) + frame_second_derivative(f, 2, q))
     return val / f(q)
@@ -290,9 +288,7 @@ def measure_bracket_scale():
     [f, h] = (v3 f)(v2 h) - (v2 f)(v3 h) by frame finite differences, against
     the unit-sphere Poisson bracket {x1, x3} = -x2.  Calibration gives -2.
     """
-    rng = np.random.default_rng(7)
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
+    q = _random_points(np.random.default_rng(7), 1)[0]
     f = lambda qq: hopf_point(qq)[..., 0]
     h = lambda qq: hopf_point(qq)[..., 2]
     br = (frame_derivative(f, 2, q) * frame_derivative(h, 1, q)
@@ -406,9 +402,7 @@ def verify_axioms(n_points=1000, seed=0, tol=1e-10):
 
 def _random_rotations(rng, n):
     """Uniform-ish SO(3) samples via quaternions."""
-    u = rng.normal(size=(n, 4))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    w, x, y, z = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
+    w, x, y, z = _random_points(rng, n).T
     rot = np.empty((n, 3, 3))
     rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
     rot[:, 0, 1] = 2 * (x * y - w * z)
@@ -481,7 +475,3 @@ class QuadratureS3:
         w_g = np.broadcast_to(gauss.w[:, None, None], th_g.shape).ravel()
         weights = 0.5 * w_g * (2.0 * np.pi / nlon) * (2.0 * np.pi / nfib)
         return cls(nodes, weights)
-
-    def integrate(self, f):
-        return float(np.dot(self.weights, _pullback(f)(self.nodes)))
-

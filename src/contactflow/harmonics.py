@@ -435,9 +435,11 @@ class SpectralFunction:
         (l, m) at most once; L defaults to the highest l."""
         checked = []
         for l, m, v in triples:
-            needs = "triple %r needs " % ((l, m, v),)
-            l = geometry._positive_count(l, needs + "l", least=0)
-            checked.append((l, geometry._positive_count(m, needs + "m", least=-l), v))
+            try:        # the triple is formatted only for a message
+                li = geometry._positive_count(l, "l", least=0)
+                checked.append((li, geometry._positive_count(m, "m", least=-li), v))
+            except ValueError as e:
+                raise ValueError("triple %r needs %s" % ((l, m, v), e)) from None
         if L is None:
             L = max((l for l, _, _ in checked), default=0)
         L = geometry._positive_count(L, "from_triples needs L", least=0)
@@ -675,22 +677,6 @@ class _PointPlan(_TablePlan):
         return v.reshape(batch + (self.shape if single else (ntag,) + self.shape))
 
 
-def _analysis(values, grid, L, deriv):
-    """Quadrature pairing of grids (..., nlat, nlon) with deriv(Y_lm), l <= L,
-    summed over the tag axis (..., ntag, nlat, nlon) of a tuple of tags."""
-    L = geometry._positive_count(L, "an analysis needs L", least=0)
-    stack, _, lon, weights, ntag, single = grid._plan.views(grid._lon, L, deriv)
-    values = np.asarray(values, dtype=float)
-    if single:
-        values = values[..., None, :, :]
-    elif values.ndim < 3 or values.shape[-3] != ntag:
-        raise ValueError("values need a tag axis of length %d before (nlat, nlon)" % ntag)
-    ab = np.matmul(values, lon)                                # [..., tag, j, (m, a/b)]
-    ab *= weights
-    ab = _move(ab.reshape(ab.shape[:-3] + (-1, L + 1, 2)), -2, 0)
-    return _adjoint(ab, stack)                                 # ab: [m, ..., (tag, j), a/b]
-
-
 def synthesize(f, grid, deriv=None):
     """Values of f (or a tangential derivative) on a SphereGrid.
 
@@ -722,7 +708,7 @@ def analyze(g, L=None):
         L = grid.nlat - 1
     if grid.nlat < L + 1:
         raise ValueError("grid too coarse in latitude to analyze degree %d" % L)
-    return SpectralFunction._of(_analysis(g.values, grid, L, None))
+    return SpectralFunction._of(adjoint_analyze(g.values, grid, L, None))
 
 
 def adjoint_analyze(values, grid, L, deriv):
@@ -736,7 +722,17 @@ def adjoint_analyze(values, grid, L, deriv):
     nlon) and sums the tags' functionals, the adjoint of synthesize with
     the same tuple.
     """
-    return _analysis(values, grid, L, deriv)
+    L = geometry._positive_count(L, "an analysis needs L", least=0)
+    stack, _, lon, weights, ntag, single = grid._plan.views(grid._lon, L, deriv)
+    values = np.asarray(values, dtype=float)
+    if single:
+        values = values[..., None, :, :]
+    elif values.ndim < 3 or values.shape[-3] != ntag:
+        raise ValueError("values need a tag axis of length %d before (nlat, nlon)" % ntag)
+    ab = np.matmul(values, lon)                                # [..., tag, j, (m, a/b)]
+    ab *= weights
+    ab = _move(ab.reshape(ab.shape[:-3] + (-1, L + 1, 2)), -2, 0)
+    return _adjoint(ab, stack)                                 # ab: [m, ..., (tag, j), a/b]
 
 
 def inner_M(f, h):

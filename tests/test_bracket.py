@@ -149,6 +149,8 @@ def test_bad_basis_index_pair_rejected(l, m, name):
 def test_basis_index_takes_numpy_integers():
     assert basis_lm(np.int64(5)) == (2, -1)
     assert basis_lm(0) == (0, 0)
+    # exact where a float square root rounds up: |m| <= l
+    assert basis_lm(2**54 - 1) == (2**27 - 1, 2**27 - 1)
     assert basis_index(np.int64(2), np.int32(-1)) == 5
 
 
@@ -192,7 +194,8 @@ def test_structure_constants_keep_the_selection_rule():
 
 def test_lookups_reject_a_pair_beyond_the_table():
     table = structure_constants(1)
-    for j, k in [(1, 8), (8, 1), (4, 4), (-1, 2)]:
+    # a float or bool index used to read another pair's entries
+    for j, k in [(1, 8), (8, 1), (4, 4), (-1, 2), (1.5, 2), (1, 2.0), (True, 2)]:
         with pytest.raises(ValueError):
             table.coefficient(3, j, k)
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from contactflow import cli
+
 CLI = [sys.executable, "-m", "contactflow.cli"]
 
 
@@ -153,3 +155,43 @@ def test_out_file_matches_stdout(tmp_path):
     b = run_cli(["calibrate", "--out", str(out)])
     assert b.returncode == 0 and b.stdout == ""
     assert out.read_text() == a.stdout
+
+
+CHECKS_HEADER = "name,max_residual,tolerance,passed"
+# (argv, CSV header, JSON top-level keys), each subcommand at a small size
+OUTPUTS = [
+    (["brackets", "--L", "1"], "i,j,k,value", ["L", "entries"]),
+    (["curvature", "--degree-cutoff", "1"],
+     "j,k,K_biinv,K_right,K_right_assembled,K_eigen,K_structural,sign_flag", ["rows"]),
+    (["evolve", "--L", "2", "--dt", "0.01", "--t-end", "0.02"],
+     "t,T,I_1,I_2,I_3,coeff_norm", ["columns", "rows"]),
+    (["rot", "--L", "3"], CHECKS_HEADER, ["checks", "passed"]),
+    (["axioms", "--n-points", "20"], CHECKS_HEADER, ["checks", "passed"]),
+    (["calibrate"], "constant,value",
+     ["alpha_1", "bracket_scale", "d_factor", "fiber_factor", "laplace_scale",
+      "orientation_sign", "structural_sign", "volume_S3"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv, header, keys", OUTPUTS, ids=[a[0] for a, _, _ in OUTPUTS])
+def test_main_renders_each_command_in_both_formats(capsys, argv, header, keys, fmt):
+    assert cli.main(argv + ["--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if fmt == "csv":
+        assert out.splitlines()[0] == header
+    else:
+        assert sorted(json.loads(out)) == keys
+
+
+def test_main_exits_one_on_a_failed_check_or_a_blow_up(capsys):
+    argv = ["axioms", "--n-points", "20", "--tol", "1e-30", "--format", "csv"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == CHECKS_HEADER      # the table is written first
+    assert err.startswith("check failed: 1 residual ")
+    argv = ["evolve", "--L", "4", "--dt", "0.5", "--t-end", "50",
+            "--init", "1,0,50;2,1,40;3,2,30"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "flow blow-up at t=1.0\n")

@@ -4,9 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactflow import geometry, harmonics
-from contactflow.bracket import lagrange_bracket, structure_constants
+from contactflow.bracket import basis_function, lagrange_bracket, structure_constants
+from contactflow.curvature import SectionPlane, k_biinvariant, k_right_invariant
 from contactflow.fields import FrameField
 from contactflow.harmonics import (
+    GridFunction,
     SpectralFunction,
     SphereGrid,
     adjoint_analyze,
@@ -18,6 +20,7 @@ from contactflow.harmonics import (
     quad_inner_M,
     synthesize,
 )
+from contactflow.metrics import MetricKind
 from contactflow.rot3d import curl, dmu_inner
 from reference import pdq, product, random_coeffs
 
@@ -197,6 +200,10 @@ def test_truncated_and_padded_need_an_integer_degree(L):
 _RNG = np.random.default_rng(0)
 
 
+def _plane(kind):
+    return SectionPlane(basis_function(2), basis_function(3), kind)
+
+
 @pytest.mark.parametrize("call, error, name", [
     (lambda f: structure_constants(2.5), ValueError, "L"),
     (lambda f: SpectralFunction.random(2.5, _RNG), ValueError, "L"),
@@ -263,6 +270,25 @@ def test_bad_arguments_raise_errors_that_name_them(call, error, name):
      "^SphereGrid.for_degree needs L to be an integer >= 0, got 2.5"),
     (lambda f: SphereGrid.for_integration(-3, 2), ValueError, "needs deg_integrand"),
     (lambda f: SphereGrid.for_integration(4, True), ValueError, "needs deg_synth"),
+    # shape and plane checks that no other test reaches
+    (lambda f: GridFunction(SphereGrid.for_degree(2), np.zeros((2, 2))), ValueError,
+     "^values shape does not match the grid"),
+    (lambda f: SpectralFunction(np.zeros((2, 2))), ValueError,
+     r"^coefficient array must have shape \(L\+1, 2L\+1\)"),
+    (lambda f: synthesize(np.zeros(3), SphereGrid.for_degree(2)), ValueError,
+     r"^coefficient arrays must have shape \(\.\.\., L\+1, 2L\+1\)"),
+    (lambda f: analyze(f.to_grid(SphereGrid.for_degree(2)), 50), ValueError,
+     "^grid too coarse in latitude to analyze degree 50"),
+    (lambda f: k_biinvariant(_plane(MetricKind.RIGHT_INVARIANT)), ValueError,
+     "^k_biinvariant needs a bi-invariant-orthonormal plane"),
+    (lambda f: k_right_invariant(_plane(MetricKind.BI_INVARIANT)), ValueError,
+     "^k_right_invariant needs an energy-orthonormal plane"),
+    (lambda f: k_right_invariant(_plane(MetricKind.RIGHT_INVARIANT), "bogus"), ValueError,
+     "^unknown method 'bogus'"),
+    (lambda f: FrameField.from_components(f.to_grid(SphereGrid.for_degree(2)),
+                                          f.to_grid(SphereGrid.for_degree(3)),
+                                          f.to_grid(SphereGrid.for_degree(2)), 2),
+     ValueError, "^component grids must coincide"),
 ])
 def test_misused_operands_raise_errors_that_name_them(call, error, match):
     f = SpectralFunction.random(2, np.random.default_rng(1))
