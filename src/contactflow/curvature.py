@@ -185,8 +185,11 @@ def structural_sign():
 
 
 def _structural_form(constants, j, k):
-    """The form's sum over the c^i_{jk} of a basis pair, without the sign."""
+    """The form's sum over the c^i_{jk} of a basis pair, without the sign;
+    ValueError for an index _pair rejects, then for a repeated pair."""
     i, c = constants._pair(j, k)
+    if j == k:
+        raise ValueError("degenerate plane: basis pair (%d, %d) repeats" % (j, k))
     alpha, beta = eigenvalue(basis_lm(j)[0]), eigenvalue(basis_lm(k)[0])
     a_i = eigenvalue(np.floor(np.sqrt(i)))
     terms = c * c * (-0.75 * a_i
@@ -204,6 +207,4 @@ def k_structural(constants, j, k):
     """
     if not isinstance(constants, StructureConstants):
         raise TypeError("k_structural expects a StructureConstants table")
-    if j == k:
-        raise ValueError("degenerate plane: basis pair (%d, %d) repeats" % (j, k))
     return STRUCTURAL_SIGN * _structural_form(constants, j, k)

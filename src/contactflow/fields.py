@@ -22,11 +22,10 @@ section point s the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) s
 is the unit frame.  _section forms (A, B, C) of many fields for grids and
 scattered points alike as one array, from one synthesis per degree of the
 stacked xi potentials and one of both tangential derivatives of the
-stacked u and w.  A node plan prepares one set of S^3 points: the point
-plan of pi(q) and the carried frame.  It then assembles ambient values of
-any number of fields as one array, from one _section pass, every value
-and derivative from one Legendre table build.
-FrameField.evaluate and contact_field_at make a plan per call.
+stacked u and w.  _ambient evaluates any number of fields at one set of
+S^3 points as one array: one point plan of pi(q), built once at the
+fields' largest degree, one _section pass on it, every value and
+derivative from one Legendre table build, and the carried frame.
 
 A pairing int_M g(X, Y) dmu needs no S^3 points: g(X, Y) is
 Reeb-invariant, so it is integrated on the section lift over the Gauss
@@ -49,7 +48,6 @@ from .harmonics import (
     GridFunction,
     SpectralFunction,
     SphereGrid,
-    _frozen,
     _finite,
     _PointPlan,
     _groups,
@@ -94,33 +92,24 @@ def _section(at, fields):
     return comps
 
 
-class _NodePlan:
-    """S^3 points q (..., 4) prepared for field evaluation: the point plan
-    of pi(q) and the carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) q
-    [3, ..., 4], read-only.  Only the fields change between evaluations on
-    one plan."""
-
-    def __init__(self, q):
-        q = geometry._unit_points(q, "q")
-        pi = geometry.hopf_point(q)
-        theta, lam = geometry._sphere_angles(pi)
-        self.points = _PointPlan(theta, lam)
-        st, ct = np.sin(theta), np.cos(theta)
-        sl, cl = np.sin(lam), np.cos(lam)
-        V = np.zeros((3,) + q.shape)    # pure quaternions pi, e_theta / sqrt2, e_lambda / sqrt2
-        V[0, ..., 1:] = pi
-        V[1, ..., 1], V[1, ..., 2], V[1, ..., 3] = -st / SQRT2, ct * cl / SQRT2, ct * sl / SQRT2
-        V[2, ..., 2], V[2, ..., 3] = -sl / SQRT2, cl / SQRT2
-        self.frame = _frozen(geometry.qmul(V, q))
-
-    def ambient(self, fields):
-        """Ambient R^4 values [field, ..., 4] of the fields at the points, their
-        section components times the carried frame, summed; the tables grow
-        once, to the largest degree, and the fields share one _section pass."""
-        self.points.arrays(max(X.degree for X in fields))
-        # from 0.0, as sum() starts, so a sum of zeros has sum()'s sign
-        return np.add.reduce(_section(self.points, fields)[..., None] * self.frame,
-                             axis=1, initial=0.0)
+def _ambient(q, fields):
+    """Ambient R^4 values [field, ..., 4] of the fields at S^3 points q (..., 4):
+    their section components at pi(q), from one point plan at the largest
+    degree and one _section pass, times the carried frame
+    (pi, e_theta / sqrt2, e_lambda / sqrt2) q, summed."""
+    q = geometry._unit_points(q, "q")
+    pi = geometry.hopf_point(q)
+    theta, lam = geometry._sphere_angles(pi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sl, cl = np.sin(lam), np.cos(lam)
+    V = np.zeros((3,) + q.shape)    # pure quaternions pi, e_theta / sqrt2, e_lambda / sqrt2
+    V[0, ..., 1:] = pi
+    V[1, ..., 1], V[1, ..., 2], V[1, ..., 3] = -st / SQRT2, ct * cl / SQRT2, ct * sl / SQRT2
+    V[2, ..., 2], V[2, ..., 3] = -sl / SQRT2, cl / SQRT2
+    frame = geometry.qmul(V, q)
+    comps = _section(_PointPlan(theta, lam, max(X.degree for X in fields)), fields)
+    # from 0.0, as sum() starts, so a sum of zeros has sum()'s sign
+    return np.add.reduce(comps[..., None] * frame, axis=1, initial=0.0)
 
 
 class FrameField:
@@ -197,8 +186,8 @@ class FrameField:
 
     def evaluate(self, q):
         """Ambient R^4 values of the field at S^3 points (..., 4), carried
-        from its section components at pi(q) (see _NodePlan)."""
-        return _NodePlan(q).ambient([self])[0]
+        from its section components at pi(q) (see _ambient)."""
+        return _ambient(q, [self])[0]
 
     # -- differential structure -------------------------------------------------
 
@@ -213,7 +202,7 @@ def contact_field(f):
 
 def contact_field_at(f, q):
     """Ambient values of X_f at S^3 points (..., 4)."""
-    return _NodePlan(q).ambient([FrameField.contact(f)])[0]
+    return _ambient(q, [FrameField.contact(f)])[0]
 
 
 def _quad_g_inners_M(pairs):

@@ -96,8 +96,6 @@ def casimirs(h, k_max):
     """I_k = int_M h^k dmu for k = 1..k_max, by de-aliased quadrature."""
     out = np.empty(k_max)
     out[0] = geometry.FIBER_FACTOR * h.coeffs[0, h.L] * SQRT_4PI
-    if k_max == 1:
-        return out
     grid = SphereGrid.for_integration(k_max * max(h.L, 1), h.L)
     vals = h.to_grid(grid).values
     powers = vals.copy()

@@ -208,7 +208,7 @@ def _frame_stencil(f, axes, p, weights=_FD1_W, order=1, at_p=False):
     axes, then f(p) if at_p, from one call of f on all the stencil circles
     [axis, offset, ..., 4] and p.  Offsets of weight 0 (the first-derivative
     centre) are not evaluated: three first-derivative axes take 24 n points
-    for n points, one node plan for three per-axis ones.  Sums run in offset
+    for n points, one point plan for three per-axis ones.  Sums run in offset
     order from the integer 0, so no partial sum is -0.0, a finite derivative
     is bit for bit the full stencil's and, as a stencil is never one point
     (see harmonics._PointPlan.evaluate), a one-axis call's."""
@@ -462,16 +462,16 @@ class QuadratureS3:
 
     @classmethod
     def build(cls, nlat=12, nlon=24, nfib=8):
-        from .harmonics import _longitudes, _plan
+        from .harmonics import _gauss, _longitudes
 
         nlat, nlon, nfib = (_positive_count(n, "QuadratureS3.build needs " + name)
                             for n, name in ((nlat, "nlat"), (nlon, "nlon"), (nfib, "nfib")))
-        gauss = _plan(nlat)
+        _, w, theta = _gauss(nlat)
         lam = _longitudes(nlon)
         psi = 2.0 * np.pi * np.arange(nfib) / nfib
-        th_g, lm_g, ps_g = np.meshgrid(gauss.theta, lam, psi, indexing="ij")
+        th_g, lm_g, ps_g = np.meshgrid(theta, lam, psi, indexing="ij")
         base = section_lift(th_g.ravel(), lm_g.ravel())
         nodes = quat_circle(base, 0, ps_g.ravel())
-        w_g = np.broadcast_to(gauss.w[:, None, None], th_g.shape).ravel()
+        w_g = np.broadcast_to(w[:, None, None], th_g.shape).ravel()
         weights = 0.5 * w_g * (2.0 * np.pi / nlon) * (2.0 * np.pi / nfib)
         return cls(nodes, weights)

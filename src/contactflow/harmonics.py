@@ -38,22 +38,20 @@ bit-for-bit its own call with the same tags; a tag's slice of a tuple
 call matches its one-tag call to round-off only, as the matmul's shape
 differs.
 
-One table plan holds x = cos theta and the Legendre tables at x, grown to
-the largest degree asked and sliced below it; a build loops over degree
-and updates all orders at once, O(L) Python steps, writing the three
-tables in place in the stacked array, from coefficient columns cached per
-L, the P and Q diagonals as running products.  A grid is a view of a
-shared Gauss-Legendre plan, one per nlat in a fixed-size cache, which adds
-the nodes' weights and theta, and of a longitude plan, one per nlon, which
-holds lam and the rows of every order the nlon resolves, built once and
-sliced; a fresh grid per bracket builds neither.  The Gauss plan holds the
-views a grid transform reads (stack, rows, weights), resolved once per
-(nlon, L, tags) until its tables grow, so a call is its matmuls and their
-packing.  A point plan prepares scattered points, adding rows that grow
-with its tables, then evaluates any number of coefficient stacks on them
-with synthesize's tags and shapes: a one-shot point set builds its plan
-per call, a plan kept for fixed nodes builds its tables once.  All plan
-arrays are read-only.
+Every cached plan is a pure function of its key, built once at exactly
+its degree and read-only, so a rebuilt plan is bit-identical: _gauss(nlat)
+holds the nodes x = cos theta, weights and theta, _gauss_tables(nlat, L)
+the stacked Legendre tables at them, _lon_plan(nlon) lam and the rows of
+every order the nlon resolves, and _views(nlat, nlon, L, tags) what a
+grid transform reads (stack, rows, weights), so a call is its matmuls and
+their packing.  The table and view caches hold 256 keys each, above the
+69 and 82 that the planes of a degree-cutoff-5 curvature table visit in a
+cycle, so a fresh grid per bracket finds its plans warm.  legendre_tables
+loops over degree and updates all orders at once, O(L) Python steps, from
+coefficient columns cached per L, the P and Q diagonals as running
+products.  A point plan builds the tables and rows of scattered points
+once, at the largest degree its caller names, then evaluates coefficient
+stacks of any degree up to it with synthesize's tags and shapes.
 
 quad_inner_M is the scalar pairing int_M u v dmu by quadrature: the
 product of two syntheses on SphereGrid.for_integration(deg u + deg v,
@@ -137,66 +135,43 @@ def _frozen(a):
     return a
 
 
-class _TablePlan:
-    """x = cos(theta) and the Legendre tables at x, the package's one caller
-    of legendre_tables.  The tables grow to the largest L asked and are
-    sliced for smaller L, bit-for-bit a fresh build's, since P[l, m] depends
-    only on lower degrees.  Every array is read-only: plans are shared."""
-
-    def __init__(self, x):
-        self.x = _frozen(x)
-        self._built = (-1, {})    # (degree, arrays and views), replaced as one value
-
-    def _build(self, L):
-        return {"stack": _frozen(legendre_tables(self.x, L))}   # [m, l, tag, j]
-
-    def arrays(self, L):
-        """The unsliced arrays, built at a degree >= L."""
-        built, data = self._built
-        if L > built:
-            data = self._build(L)
-            self._built = (L, data)
-        return data
-
-    def stack(self, L, tables):
-        """[m, l, (tag, j)]: the tables at indices `tables` (a slice is a
-        view, a list a copy), orders and degrees <= L."""
-        stack = self.arrays(L)["stack"][: L + 1, : L + 1, tables]
-        return stack.reshape(L + 1, L + 1, -1)
-
-
-class _GaussPlan(_TablePlan):
-    """The table plan of one nlat's Gauss-Legendre nodes, weights and theta."""
-
-    def __init__(self, nlat):
-        x, w = np.polynomial.legendre.leggauss(nlat)
-        super().__init__(x)
-        self.w, self.theta = _frozen(w), _frozen(np.arccos(x))
-
-    def views(self, lon, L, deriv):
-        """(stack [m, l, (tag, j)], rows [tag, (m, a/b), k], rows [tag, k, (m, a/b)],
-        weights w 2 pi / nlon [j, 1], ntag, single) of a degree-L transform on
-        lon's nlon, kept beside the tables they view, so growth drops them."""
-        key = (lon.lam.size, L, deriv)
-        try:
-            return self._built[1]["views"][key]
-        except (KeyError, TypeError):    # a miss, or a tag _tags rejects
-            pass
-        if lon.lam.size < 2 * L + 2:
-            raise ValueError("grid too coarse in longitude for degree %d" % L)
-        tables, rows, ntag, single = _tags(deriv)
-        stack = _frozen(self.stack(L, tables))    # first, as it may grow the tables
-        rows = lon.rows(L)[:, rows]               # [(m, a/b), tag, k]
-        weights = _frozen((self.w * (2.0 * np.pi / lon.lam.size))[:, None])
-        views = (stack, _frozen(rows.swapaxes(0, 1)), _frozen(rows.transpose(1, 2, 0)),
-                 weights, ntag, single)
-        self._built[1].setdefault("views", {})[key] = views
-        return views
-
-
 @functools.lru_cache(maxsize=32)
-def _plan(nlat):
-    return _GaussPlan(nlat)
+def _gauss(nlat):
+    """(x = cos theta, w, theta) of the nlat Gauss-Legendre nodes, read-only."""
+    x, w = np.polynomial.legendre.leggauss(nlat)
+    return _frozen(x), _frozen(w), _frozen(np.arccos(x))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_tables(nlat, L):
+    """legendre_tables [m, l, tag, j] at the nlat Gauss nodes, degree L, read-only."""
+    return _frozen(legendre_tables(_gauss(nlat)[0], L))
+
+
+@functools.lru_cache(maxsize=256)
+def _views(nlat, nlon, L, deriv):
+    """(stack [m, l, (tag, j)], rows [tag, (m, a/b), k], rows [tag, k, (m, a/b)],
+    weights w 2 pi / nlon [j, 1], ntag, single) of a degree-L transform with
+    tags deriv on the nlat x nlon grid, read-only."""
+    if nlon < 2 * L + 2:
+        raise ValueError("grid too coarse in longitude for degree %d" % L)
+    tables, rows, ntag, single = _tags(deriv)
+    # tags picked by a slice view the tables, by a list copy them
+    stack = _gauss_tables(nlat, L)[:, :, tables].reshape(L + 1, L + 1, -1)
+    rows = _lon_plan(nlon).rows(L)[:, rows]                 # [(m, a/b), tag, k]
+    weights = (_gauss(nlat)[1] * (2.0 * np.pi / nlon))[:, None]
+    return (_frozen(stack), _frozen(rows.swapaxes(0, 1)), _frozen(rows.transpose(1, 2, 0)),
+            _frozen(weights), ntag, single)
+
+
+def _grid_views(grid, L, deriv):
+    """_views of grid; an unhashable tag, which the cache cannot key, gets
+    _tags' ValueError."""
+    try:
+        return _views(grid.nlat, grid.nlon, L, deriv)
+    except TypeError:
+        _tags(deriv)
+        raise
 
 
 def _longitudes(nlon):
@@ -246,17 +221,15 @@ class SphereGrid:
     for_degree(L) builds a grid on which analysis of band-L functions is
     quadrature-exact and synthesis of any degree <= L is alias-free; this
     exceeds the 3/2-rule resolution for quadratic products at the same L.
-    x, w, theta and the Legendre tables are the read-only arrays of the nlat
-    plan, lam and the longitude rows those of the nlon plan.
+    x, w and theta are the read-only arrays of _gauss(nlat), lam that of
+    _lon_plan(nlon).
     """
 
     def __init__(self, nlat, nlon):
         self.nlat = geometry._positive_count(nlat, "SphereGrid needs nlat")
         self.nlon = geometry._positive_count(nlon, "SphereGrid needs nlon", least=2)
-        self._plan = _plan(self.nlat)
-        self._lon = _lon_plan(self.nlon)
-        self.x, self.w, self.theta = self._plan.x, self._plan.w, self._plan.theta
-        self.lam = self._lon.lam
+        self.x, self.w, self.theta = _gauss(self.nlat)
+        self.lam = _lon_plan(self.nlon).lam
 
     @classmethod
     def for_degree(cls, L):
@@ -553,15 +526,15 @@ class SpectralFunction:
 
     # -- evaluation -------------------------------------------------------------
 
-    def to_grid(self, grid, deriv=None):
-        return GridFunction(grid, synthesize(self, grid, deriv=deriv))
+    def to_grid(self, grid):
+        return GridFunction(grid, synthesize(self, grid))
 
     def evaluate_base(self, theta, lam, deriv=None):
         """Scattered evaluation at colatitude/longitude arrays (finite, or ValueError)."""
         for name, angle in (("theta", theta), ("lam", lam)):
             if not np.all(np.isfinite(angle)):
                 raise ValueError("%s must be finite" % name)
-        return _PointPlan(theta, lam).evaluate(self.coeffs, deriv)
+        return _PointPlan(theta, lam, self.L).evaluate(self.coeffs, deriv)
 
     def pullback(self, q):
         """Values of the Reeb-invariant extension at S^3 points (..., 4), or ValueError."""
@@ -635,33 +608,28 @@ def _adjoint(ab, stack):
     return coeffs
 
 
-class _PointPlan(_TablePlan):
-    """The table plan of scattered points (theta, lam), with the longitude
-    rows (see _rows), which grow with the tables.  The rows take m lam in
-    two parts: lam_hi keeps lam to 26 fractional bits, so m lam_hi is exact,
-    and the small m lam_lo enters by angle addition; no rounded product
-    m * lam reaches cos or sin, and a row does not depend on the degree
-    the plan was grown to."""
+class _PointPlan:
+    """Scattered points (theta, lam) prepared for evaluation up to degree L:
+    the Legendre tables at cos(theta) and the longitude rows (see _rows),
+    built once, read-only.  The rows take m lam in two parts: lam_hi keeps
+    lam to 26 fractional bits, so m lam_hi is exact, and the small m lam_lo
+    enters by angle addition; no rounded product m * lam reaches cos or sin."""
 
-    def __init__(self, theta, lam):
+    def __init__(self, theta, lam, L):
         theta, lam = np.broadcast_arrays(np.asarray(theta, float), np.asarray(lam, float))
-        self.shape = theta.shape
-        super().__init__(np.cos(theta.ravel()))
-        self.lam = _frozen(lam.ravel())
-
-    def _build(self, L):
-        data = super()._build(L)
+        self.shape, lam = theta.shape, lam.ravel()
+        self.stack = _frozen(legendre_tables(np.cos(theta.ravel()), L))   # [m, l, tag, j]
         m = np.arange(L + 1)[:, None]
-        hi = np.round(self.lam * 2.0 ** 26) / 2.0 ** 26    # m hi exact: m < 2^24, |lam| < 8
-        a, b = m * hi, m * (self.lam - hi)
+        hi = np.round(lam * 2.0 ** 26) / 2.0 ** 26    # m hi exact: m < 2^24, |lam| < 8
+        a, b = m * hi, m * (lam - hi)
         ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        data["rows"] = _rows(ca * cb - sa * sb, sa * cb + ca * sb)
-        return data
+        self.rows = _rows(ca * cb - sa * sb, sa * cb + ca * sb)
 
     def evaluate(self, coeffs, deriv=None):
-        """Values of a coefficient stack (..., L+1, 2L+1) at the points, with
-        synthesize's shapes: (..., *shape) for one tag, (..., ntag, *shape)
-        for a tuple of tags, from one Legendre product.
+        """Values of a coefficient stack (..., L+1, 2L+1), L at most the
+        plan's, at the points, with synthesize's shapes: (..., *shape) for
+        one tag, (..., ntag, *shape) for a tuple of tags, from one Legendre
+        product.
 
         A point's values do not depend on the other points of its plan with
         one exception, seen at ~1 ulp: a single tag at a single point is a
@@ -669,8 +637,9 @@ class _PointPlan(_TablePlan):
         kernel, so it rounds differently from that point's row of a batch."""
         L, batch = coeffs.shape[-2] - 1, coeffs.shape[:-2]
         tables, rows, ntag, single = _tags(deriv)
-        lon = self.arrays(L)["rows"][: 2 * (L + 1), rows]      # [(m, a/b), tag, j]
-        ab = _forward(coeffs, self.stack(L, tables))           # [m, a/b, ..., (tag, j)]
+        lon = self.rows[: 2 * (L + 1), rows]                    # [(m, a/b), tag, j]
+        stack = self.stack[: L + 1, : L + 1, tables].reshape(L + 1, L + 1, -1)
+        ab = _forward(coeffs, stack)                           # [m, a/b, ..., (tag, j)]
         ab = ab.reshape((2 * (L + 1),) + batch + lon.shape[1:])
         ab *= lon.reshape(lon.shape[:1] + (1,) * len(batch) + lon.shape[1:])   # ab is fresh
         v = np.add.reduce(ab, axis=0)
@@ -690,22 +659,20 @@ def synthesize(f, grid, deriv=None):
     if coeffs.ndim < 2 or coeffs.shape[-1] != 2 * coeffs.shape[-2] - 1:
         raise ValueError("coefficient arrays must have shape (..., L+1, 2L+1)")
     L = coeffs.shape[-2] - 1
-    stack, lon, _, _, ntag, single = grid._plan.views(grid._lon, L, deriv)
+    stack, lon, _, _, ntag, single = _grid_views(grid, L, deriv)
     ab = _forward(coeffs, stack)                               # [m, a/b, ..., (tag, j)]
     ab = ab.reshape((2 * (L + 1),) + coeffs.shape[:-2] + (ntag, grid.nlat))
     values = np.matmul(_move(ab, 0, -1), lon)                  # [..., tag, j, k]
     return values[..., 0, :, :] if single else values
 
 
-def analyze(g, L=None):
+def analyze(g, L):
     """Project a GridFunction onto the basis up to degree L.
 
     Exact (to round-off) whenever the underlying function is band-limited
     within the grid's analysis degree.
     """
     grid = g.grid
-    if L is None:
-        L = grid.nlat - 1
     if grid.nlat < L + 1:
         raise ValueError("grid too coarse in latitude to analyze degree %d" % L)
     return SpectralFunction._of(adjoint_analyze(g.values, grid, L, None))
@@ -723,7 +690,7 @@ def adjoint_analyze(values, grid, L, deriv):
     the same tuple.
     """
     L = geometry._positive_count(L, "an analysis needs L", least=0)
-    stack, _, lon, weights, ntag, single = grid._plan.views(grid._lon, L, deriv)
+    stack, _, lon, weights, ntag, single = _grid_views(grid, L, deriv)
     values = np.asarray(values, dtype=float)
     if single:
         values = values[..., None, :, :]

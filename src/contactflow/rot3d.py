@@ -13,8 +13,9 @@ metric, orientation, and volume mu = theta ^ dtheta.  Three routes coexist:
   * curl_fd(X, points): a finite-difference oracle built only on frame
     derivatives of the metric components at a batch of points (..., 4),
     sharing no code with the spectral path; divergence_fd, its divergence
-    twin, also takes a sequence of fields; each evaluates them on one node
-    plan (see geometry._frame_stencil).
+    twin, also takes a sequence of fields; each evaluates them in one
+    fields._ambient pass on the stencil circles of all three axes (see
+    geometry._frame_stencil).
 
 The pairing <X_f, X_h> = int g(rot^-1 X_f, X_h) dmu makes the fields of
 mean-zero Hamiltonians a negative-definite block: the ratio against the
@@ -22,8 +23,8 @@ flat Hamiltonian pairing is exactly -3.  The Reeb field itself is a fixed
 point of rot, so its pairing branch returns the volume of the sphere.  The
 pairing is the field pairing of metrics.inner's quadrature path, on the
 unit-frame component grids of its two fields.  rot_report takes all its
-curls in one call, evaluates all their residuals in one pass on the node
-plan of its check points, and integrates all pairings in one batch.
+curls in one call, evaluates all their residuals in one _ambient pass at
+its check points, and integrates all pairings in one batch.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import geometry
 from .fields import (
     FrameField,
     _as_spectral,
-    _NodePlan,
+    _ambient,
     _quad_g_inners_M,
     _section,
     contact_field,
@@ -100,7 +101,7 @@ def _frame_components(X):
     if isinstance(X, FrameField):
         return lambda q: geometry.frame_components(q, X.evaluate(q))
     return lambda q: geometry.frame_components(
-        q[..., None, :], np.moveaxis(_NodePlan(q).ambient(X), 0, -2))
+        q[..., None, :], np.moveaxis(_ambient(q, X), 0, -2))
 
 
 def curl_fd(X, points):
@@ -163,17 +164,17 @@ def _dmu_fields(f, h):
 # ---------------------------------------------------------------------------
 # verification suite
 
-def _ambient_residuals(pairs, plan):
-    """max over the plan's points of |rot X - Y| for each (X, Y) pair: one
+def _ambient_residuals(pairs, pts):
+    """max over the S^3 points pts of |rot X - Y| for each (X, Y) pair: one
     curl call for all X and one evaluation pass for all differences."""
     diffs = [Z - Y for Z, (_, Y) in zip(curl([X for X, _ in pairs]), pairs)]
-    return np.linalg.norm(plan.ambient(diffs), axis=-1).reshape(len(diffs), -1).max(1).tolist()
+    return np.linalg.norm(_ambient(pts, diffs), axis=-1).reshape(len(diffs), -1).max(1).tolist()
 
 
 def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
     """Run the curl identity suite: one curl call for its 16 fields, one
-    evaluation pass for their residuals on the node plan of the check points,
-    one divergence_fd call for the five inverse fields and one batch for the
+    evaluation pass for their residuals at the check points, one
+    divergence_fd call for the five inverse fields and one batch for the
     pairings; a list of named residual checks."""
     from .metrics import biinvariant_inner
 
@@ -182,7 +183,6 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
                                             (n_points, "n_points")))
     rng = np.random.default_rng(seed)
     pts = geometry._random_points(rng, n_points)
-    plan = _NodePlan(pts)
     checks = []
 
     def add(name, residual, tol):
@@ -206,7 +206,7 @@ def rot_report(L=6, seed=0, n_pairs=100, n_points=40):
              ("contact_curl_closed_form", 1e-6, contact),
              ("gradient_fields_curl_free", 1e-6, gradient),
              ("inverse_round_trip", 1e-6, inverse)]
-    residuals = iter(_ambient_residuals([p for _, _, ps in suite for p in ps], plan))
+    residuals = iter(_ambient_residuals([p for _, _, ps in suite for p in ps], pts))
     for name, tol, ps in suite:
         add(name, np.max([next(residuals) for _ in ps]), tol)     # a NaN fails the check
     res_div = float(np.max(np.abs(divergence_fd([Y for Y, _ in inverse], pts[:8]))))

@@ -28,6 +28,8 @@ CASES = [
     ("brackets_json", ["brackets", "--L", "2", "--format", "json"]),
     ("curvature_csv", ["curvature", "--degree-cutoff", "1"]),
     ("curvature_json", ["curvature", "--degree-cutoff", "1", "--format", "json"]),
+    ("curvature_cutoff5_csv", ["curvature", "--degree-cutoff", "5"]),
+    ("brackets_L8_csv", ["brackets", "--L", "8"]),
     ("evolve_csv", ["evolve", "--L", "3", "--dt", "0.01", "--t-end", "0.03",
                     "--init", "1,0,1.0;2,1,0.25", "--k-max", "2"]),
     ("evolve_json", ["evolve", "--L", "3", "--dt", "0.01", "--t-end", "0.03",
@@ -42,6 +44,7 @@ CASES = [
     ("rot_json", ["rot", "--L", "3", "--seed", "5"]),
     ("rot_csv", ["rot", "--L", "3", "--format", "csv"]),
     ("rot_out", ["rot", "--L", "3", "--out", "{tmp}/rot.json"]),
+    ("rot_L12_json", ["rot", "--L", "12"]),
     ("calibrate_json", ["calibrate"]),
     ("calibrate_csv", ["calibrate", "--format", "csv"]),
     ("calibrate_out", ["calibrate", "--format", "csv", "--out", "{tmp}/cal.csv"]),

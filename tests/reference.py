@@ -104,6 +104,20 @@ def section(evaluate, fields):
     return out
 
 
+def carried_frame(q):
+    """The carried frame (pi, e_theta / sqrt2, e_lambda / sqrt2) q [3, ..., 4]
+    at unit quaternions q (..., 4), by fields._ambient's operations."""
+    pi = geometry.hopf_point(q)
+    theta, lam = geometry._sphere_angles(pi)
+    st, ct, sl, cl = np.sin(theta), np.cos(theta), np.sin(lam), np.cos(lam)
+    s2 = geometry.SQRT2
+    V = np.zeros((3,) + q.shape)
+    V[0, ..., 1:] = pi
+    V[1, ..., 1], V[1, ..., 2], V[1, ..., 3] = -st / s2, ct * cl / s2, ct * sl / s2
+    V[2, ..., 2], V[2, ..., 3] = -sl / s2, cl / s2
+    return geometry.qmul(V, q)
+
+
 def g_inner_M(X, Y):
     """int_M g(X, Y) dmu of one pair, from both fields' component grids on
     the Gauss grid of their degree pair."""

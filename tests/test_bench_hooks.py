@@ -108,6 +108,26 @@ def test_curvature_plane_batches_its_transforms():
     assert calls.get("harmonics.analyze", 0) == 0
 
 
+def test_a_warm_curvature_table_builds_no_plan():
+    # the planes of `curvature --degree-cutoff 5` visit 69 (nlat, L) tables
+    # and 82 views in a cycle: a warm pass finds every plan in the caches,
+    # which an LRU cache smaller than either key set would not.  The views
+    # hold their tables, so the tables are checked with the views cleared
+    basis = [cf.basis_function(i) for i in range(cf.basis_size(5))]
+
+    def table():
+        for j, f in enumerate(basis):
+            for h in basis[j + 1:]:
+                curvature_plane(f, h)
+
+    table()
+    harmonics._views.cache_clear()
+    assert traced_calls(table).get("harmonics.legendre_tables", 0) == 0
+    misses = harmonics._views.cache_info().misses
+    table()
+    assert harmonics._views.cache_info().misses == misses
+
+
 def test_one_legendre_build_per_point_set():
     rng = np.random.default_rng(1)
     q = rng.standard_normal((7, 4))
@@ -120,12 +140,13 @@ def test_one_legendre_build_per_point_set():
     assert calls["geometry.qmul"] == 3
     calls = traced_calls(lambda: contact_field_at(f, q))
     assert calls["harmonics.legendre_tables"] == 1
-    # a pairing of degrees 3 and 5 grows its grid's shared tables once per
-    # rising operand degree, and builds nothing when they are warm
+    # a pairing of degrees 3 and 5 builds its grid's shared tables once per
+    # operand degree, and builds nothing when they are warm
     pairings = [lambda: dmu_inner(f.mean_free(), u.mean_free())]
     pairings += [partial(inner, kind, f, u, method="quadrature") for kind in MetricKind]
     for pairing in pairings:
-        harmonics._plan.cache_clear()
+        harmonics._gauss_tables.cache_clear()
+        harmonics._views.cache_clear()
         calls = traced_calls(pairing)
         assert calls["harmonics.legendre_tables"] == 2
         calls = traced_calls(pairing)
@@ -144,7 +165,7 @@ def test_one_legendre_build_per_point_set():
 
 
 def test_rot_report_prepares_each_point_set_once():
-    # one node plan for the check points (built once, at L, by the one
+    # one point plan for the check points (built once, at L, by the one
     # residual pass) and one for the stencil circles of all 3 axes of the
     # single divergence call; curls and pairings use warm grid plans
     rot_report(L=4, seed=0, n_pairs=3, n_points=12)
@@ -152,7 +173,7 @@ def test_rot_report_prepares_each_point_set_once():
     assert calls["harmonics.legendre_tables"] == 2
     assert calls.get("geometry.frame_derivative", 0) == 0
     assert calls["rot3d.divergence_fd"] == 1
-    # 3 per node plan (2) and 1 per stencil circle (3); the unit frame of
+    # 3 per _ambient pass (2) and 1 per stencil circle (3); the unit frame of
     # each stencil's metric components permutes q and multiplies nothing
     assert calls["geometry.qmul"] == 9
 

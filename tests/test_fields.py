@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactflow import fields, geometry
-from contactflow.fields import FrameField, _NodePlan, contact_field, contact_field_at
+from contactflow import fields, geometry, harmonics
+from contactflow.fields import FrameField, contact_field, contact_field_at
 from contactflow.harmonics import SpectralFunction, SphereGrid, synthesize
 from contactflow.rot3d import _dmu_fields, dmu_inner
-from reference import g_inner_M, section
+from reference import carried_frame, g_inner_M, section
 
 
 def unit_points(rng, n):
@@ -29,6 +29,19 @@ def test_contact_field_theta_recovers_hamiltonian():
     pts = unit_points(rng, 30)
     vals = geometry.theta_form(pts, contact_field_at(f, pts))
     assert np.max(np.abs(vals - f.pullback(pts))) < 1e-12
+
+
+def test_field_sum_adds_potentials_and_values():
+    rng = np.random.default_rng(21)
+    X = FrameField(*(SpectralFunction.random(L, rng) for L in (3, 1, 4)))
+    Y = FrameField(*(SpectralFunction.random(L, rng) for L in (2, 5, 0)))
+    Z = X + Y
+    for name in "auw":
+        assert np.array_equal(getattr(Z, name).coeffs,
+                              (getattr(X, name) + getattr(Y, name)).coeffs)
+    pts = unit_points(rng, 12)
+    want = X.evaluate(pts) + Y.evaluate(pts)
+    assert np.max(np.abs(Z.evaluate(pts) - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_fields_are_tangent():
@@ -142,21 +155,22 @@ def test_batched_pairings_are_each_pairs_own(kinds, hamiltonians, seed):
        n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_section_values_are_the_per_field_formulas(degrees, n, seed):
     # the one-array section components, on a grid and at the points of a
-    # node plan, the ambient values built from them and the batched
+    # point plan of pi(q), the ambient values built from them and the batched
     # pairings are bit for bit each field's (each pair's) own
     rng = np.random.default_rng(seed)
     fs = [FrameField(*(SpectralFunction.random(L, rng) for L in d)) for d in degrees]
     grid = SphereGrid.for_degree(max(X.degree for X in fs))
     raw = rng.standard_normal((n, 4))
-    plan = _NodePlan(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    q = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    points = harmonics._PointPlan(*geometry.hopf_angles(q), max(X.degree for X in fs))
     for at, evaluate in ((grid, lambda c, deriv: synthesize(c, grid, deriv)),
-                         (plan.points, plan.points.evaluate)):
+                         (points, points.evaluate)):
         got = fields._section(at, fs)
         assert got.shape == (len(fs), 3) + section(evaluate, fs)[0][0].shape
         for comps, want in zip(got, section(evaluate, fs)):
             assert all(np.array_equal(c, w) for c, w in zip(comps, want))
-    for v, want in zip(plan.ambient(fs), section(plan.points.evaluate, fs)):
-        assert np.array_equal(v, sum(c[..., None] * e for c, e in zip(want, plan.frame)))
+    for v, want in zip(fields._ambient(q, fs), section(points.evaluate, fs)):
+        assert np.array_equal(v, sum(c[..., None] * e for c, e in zip(want, carried_frame(q))))
     pairs = list(zip(fs, fs[::-1]))
     assert fields._quad_g_inners_M(pairs) == [fields._quad_g_inners_M([p])[0] for p in pairs]
 

@@ -50,6 +50,13 @@ def test_casimir_values():
     assert abs(vals[1] - inner_M(h, h)) < 1e-10
 
 
+@pytest.mark.parametrize("L", [0, 1, 4])
+def test_first_casimir_alone_is_the_first_of_several(L):
+    h = SpectralFunction.random(L, np.random.default_rng(L))
+    got = casimirs(h, 1)
+    assert got.shape == (1,) and np.array_equal(got, casimirs(h, 3)[:1])
+
+
 def test_short_run_conserves_invariants():
     rng = np.random.default_rng(3)
     # moderate amplitude: RK4 error on I_3 grows steeply with the norm

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from contactflow import geometry, harmonics
 from contactflow.bracket import basis_function, lagrange_bracket, structure_constants
-from contactflow.curvature import SectionPlane, k_biinvariant, k_right_invariant
+from contactflow.curvature import SectionPlane, k_biinvariant, k_right_invariant, k_structural
 from contactflow.fields import FrameField
 from contactflow.harmonics import (
     GridFunction,
@@ -285,6 +285,11 @@ def test_bad_arguments_raise_errors_that_name_them(call, error, name):
      "^k_right_invariant needs an energy-orthonormal plane"),
     (lambda f: k_right_invariant(_plane(MetricKind.RIGHT_INVARIANT), "bogus"), ValueError,
      "^unknown method 'bogus'"),
+    # pair indices before the repeat check: was "degenerate plane: basis pair (1, 1)"
+    (lambda f: k_structural(structure_constants(1), 1.5, 1.5), ValueError,
+     "^a pair lookup needs j to be an integer >= 0, got 1.5"),
+    (lambda f: k_structural(structure_constants(1), True, 1), ValueError,
+     "^a pair lookup needs j to be an integer >= 0, got True"),
     (lambda f: FrameField.from_components(f.to_grid(SphereGrid.for_degree(2)),
                                           f.to_grid(SphereGrid.for_degree(3)),
                                           f.to_grid(SphereGrid.for_degree(2)), 2),
@@ -333,28 +338,22 @@ def test_random_draws_once_as_the_per_degree_loop(L):
 def test_grid_plan_arrays_are_shared_and_read_only():
     a, b = SphereGrid(7, 16), SphereGrid.for_degree(6)
     assert a.x is b.x and a.w is b.w and a.theta is b.theta
-    for arr in (a.x, a.w, a._plan.arrays(6)["stack"], a._plan.stack(3, slice(1, 2)),
-                b._plan.stack(5, slice(0, 3))):
+    for arr in (a.x, a.w, harmonics._gauss_tables(7, 6), harmonics._views(7, 16, 3, "dtheta")[0],
+                harmonics._views(b.nlat, b.nlon, 5, (None, "dtheta", "dlambda_over_sin"))[0]):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
 
-def test_plan_tables_match_a_fresh_build_whatever_came_first():
-    harmonics._plan.cache_clear()
-    grid = SphereGrid(11, 24)
-    for L in (2, 9, 4, 12, 9):
-        got = grid._plan.arrays(L)["stack"][: L + 1, : L + 1]
-        assert np.array_equal(got, legendre_tables(grid.x, L))
-
-
 def test_point_plan_values_match_a_fresh_plan_whatever_came_first():
+    # a plan built at degree 12 evaluates each lower degree, in any order,
+    # as a plan built at that degree
     rng = np.random.default_rng(12)
     theta, lam = rng.uniform(0.0, np.pi, 9), rng.uniform(0.0, 2.0 * np.pi, 9)
-    plan = harmonics._PointPlan(theta, lam)
+    plan = harmonics._PointPlan(theta, lam, 12)
     for L in (2, 9, 4, 12, 9):
         coeffs = np.stack([SpectralFunction.random(L, rng).coeffs for _ in range(2)])
         for deriv in (None, "dtheta", "dlambda_over_sin", harmonics.TANGENTIAL):
-            want = harmonics._PointPlan(theta, lam).evaluate(coeffs, deriv)
+            want = harmonics._PointPlan(theta, lam, L).evaluate(coeffs, deriv)
             assert np.array_equal(plan.evaluate(coeffs, deriv), want)
 
 
@@ -362,14 +361,14 @@ def test_point_plan_builds_once_at_the_largest_degree():
     # fields in ascending degree would grow a per-field build at every field
     from test_bench_hooks import traced_calls
 
-    from contactflow.fields import FrameField, _NodePlan
+    from contactflow.fields import FrameField, _ambient
 
     rng = np.random.default_rng(13)
     q = rng.standard_normal((5, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     fields = [FrameField(*(SpectralFunction.random(L, rng) for _ in range(3)))
               for L in (1, 3, 6, 8)]
-    calls = traced_calls(lambda: _NodePlan(q).ambient(fields))
+    calls = traced_calls(lambda: _ambient(q, fields))
     assert calls["harmonics.legendre_tables"] == 1
 
 
@@ -451,11 +450,13 @@ def test_recurrence_columns_are_cached_and_read_only():
 
 
 def test_plan_cache_is_bounded():
-    maxsize = harmonics._plan.cache_info().maxsize
+    for cache in (harmonics._gauss_tables, harmonics._views):
+        assert cache.cache_info().maxsize is not None
+    maxsize = harmonics._gauss.cache_info().maxsize
     assert maxsize is not None
     for nlat in range(1, maxsize + 3):
         SphereGrid(nlat, 2)
-    assert harmonics._plan.cache_info().currsize <= maxsize
+    assert harmonics._gauss.cache_info().currsize <= maxsize
 
 
 def test_spectral_function_owns_its_coefficients():

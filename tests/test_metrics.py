@@ -13,6 +13,13 @@ from contactflow.metrics import (
 from contactflow.rot3d import dmu_inner
 
 
+def test_inner_takes_a_kind_by_its_value():
+    rng = np.random.default_rng(7)
+    f, h = SpectralFunction.random(3, rng), SpectralFunction.random(2, rng)
+    assert inner("biinvariant_hamiltonian", f, h) == biinvariant_inner(f, h)
+    assert inner("right_invariant_L2", f, h) == energy_inner(f, h)
+
+
 def test_spectral_vs_quadrature_energy():
     rng = np.random.default_rng(0)
     for _ in range(5):

@@ -184,16 +184,16 @@ def test_tag_tuples_are_one_kernel_call(L, k, seed, stack, tags):
 
 
 def test_plan_tables_are_views_of_one_stacked_array():
-    harmonics._plan.cache_clear()
-    grid = SphereGrid(9, 20)
-    stack = grid._plan.arrays(6)["stack"]
+    harmonics._gauss_tables.cache_clear()
+    harmonics._views.cache_clear()
+    stack = harmonics._gauss_tables(9, 6)
     assert stack.shape == (7, 7, 3, 9)                   # [m, l, tag, j]
-    for t in range(3):
-        table = grid._plan.stack(4, slice(t, t + 1))
+    for t, tag in enumerate(TAGS):
+        table = harmonics._views(9, 20, 6, tag)[0]
         assert np.shares_memory(table, stack)
-        assert np.array_equal(table, stack[:5, :5, t])
+        assert np.array_equal(table, stack[:, :, t])
     # the tangential pair is one view of the stack, no copy
-    assert np.shares_memory(grid._plan.stack(6, slice(1, 3)), stack)
+    assert np.shares_memory(harmonics._views(9, 20, 6, harmonics.TANGENTIAL)[0], stack)
 
 
 @pytest.mark.parametrize("nlat, nlon, L", [(7, 13, 5), (9, 31, 8)])
@@ -221,7 +221,7 @@ def test_longitude_step_matches_an_fft_oracle(L):
     values = rng.standard_normal((2, grid.nlat, grid.nlon))
     m = np.arange(L + 1)
     for t, tag in enumerate(TAGS):
-        table = grid._plan.stack(L, slice(t, t + 1))               # [m, l, j]
+        table = harmonics._views(grid.nlat, grid.nlon, L, tag)[0]  # [m, l, j]
         symbol = (1j * m if tag == "dlambda_over_sin" else 1.0) / np.where(m, SQRT_PI, SQRT_2PI)
         ab = harmonics._forward(coeffs, table)                     # [m, a/b, batch, j]
         C = np.moveaxis(ab[:, 0] - 1j * ab[:, 1], 0, -1) * symbol   # [batch, j, m]
@@ -309,7 +309,8 @@ def memo_transforms(nlat, nlon, L, tags, seed=0):
 
 
 def fresh_transforms(*args):
-    harmonics._plan.cache_clear()
+    harmonics._gauss_tables.cache_clear()
+    harmonics._views.cache_clear()
     return memo_transforms(*args)
 
 
@@ -320,44 +321,44 @@ def assert_same(got, want):
 @pytest.mark.parametrize("tags", TAGS + (("dtheta", "dlambda_over_sin"),
                                          ("dlambda_over_sin", None)))
 def test_plan_held_views_match_a_fresh_plan(tags):
-    # a warm grid, a cleared plan cache, and a plan grown past L and read
-    # again at L all give the values of a plan built fresh at L
+    # a warm grid, cleared plan caches, and a call at a higher degree on the
+    # same grid between two at L all give the values of plans built fresh at L
     args = (9, 20, 5, tags)
     want = fresh_transforms(*args)
     assert_same(memo_transforms(*args), want)             # warm
     assert_same(fresh_transforms(*args), want)            # after cache_clear
-    memo_transforms(9, 20, 8, tags)                       # grows the tables to 8
+    memo_transforms(9, 20, 8, tags)                       # the degree-8 plans of the grid
     assert_same(memo_transforms(*args), want)
 
 
-def test_plan_held_views_are_read_only_and_go_with_outgrown_tables():
-    harmonics._plan.cache_clear()
-    memo_transforms(9, 20, 5, ("dlambda_over_sin", None))   # tables picked by a copy
-    memo_transforms(9, 22, 4, harmonics.TANGENTIAL)
-    plan = harmonics._plan(9)
-    memo = plan._built[1]["views"]
-    assert {key[:2] for key in memo} == {(20, 5), (22, 4)}
-    arrays = [a for views in memo.values() for a in views if isinstance(a, np.ndarray)]
-    assert len(arrays) == 16 and not any(a.flags.writeable for a in arrays)
-    memo_transforms(9, 20, 8, None)                         # grows the tables
-    assert list(plan._built[1]["views"]) == [(20, 8, None)]
+@settings(max_examples=60, deadline=None)
+@given(nlat=st.integers(1, 12), L=st.integers(0, 10), other=st.integers(0, 10),
+       extra=st.integers(0, 3),
+       tags=st.sampled_from(TAGS + (harmonics.TANGENTIAL, ("dlambda_over_sin", None), TAGS)))
+def test_cached_plans_are_read_only_and_match_a_fresh_build(nlat, L, other, extra, tags):
+    # a cached plan is a pure function of its key: whatever was built before
+    # it, its entry is read-only and is, bit for bit, a build after cache_clear
+    nlon = 2 * max(L, other) + 2 + extra
+    harmonics._views(nlat, nlon, other, tags)
+    held = (harmonics._gauss_tables(nlat, L),) + harmonics._views(nlat, nlon, L, tags)
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    harmonics._gauss_tables.cache_clear()
+    harmonics._views.cache_clear()
+    fresh = (harmonics._gauss_tables(nlat, L),) + harmonics._views(nlat, nlon, L, tags)
+    assert fresh[0] is not held[0] and fresh[1] is not held[1]
+    assert np.array_equal(fresh[0], legendre_tables(np.polynomial.legendre.leggauss(nlat)[0], L))
+    for a, b in zip(held, fresh, strict=True):
+        assert type(a) is type(b) and np.array_equal(a, b)
 
 
-def test_a_warm_grid_resolves_no_plan_stack(monkeypatch):
+def test_a_warm_grid_resolves_no_plan_stack():
     grid = SphereGrid(7, 14)
-    calls = []
-    stack = harmonics._TablePlan.stack
-
-    def counted(self, L, tables):
-        calls.append(L)
-        return stack(self, L, tables)
-
-    monkeypatch.setattr(harmonics._TablePlan, "stack", counted)
     f = SpectralFunction.random(3, np.random.default_rng(0))
     values = np.ones((2, 7, 14))
     for _ in range(2):
-        calls.clear()
+        misses = harmonics._views.cache_info().misses
         synthesize(f, grid, deriv=harmonics.TANGENTIAL)
         adjoint_analyze(values, grid, 3, harmonics.TANGENTIAL)
         analyze(f.to_grid(grid), 3)
-    assert calls == []
+    assert harmonics._views.cache_info().misses == misses
